@@ -1,7 +1,8 @@
 """Embedded Dormand-Prince 5(4) integrator with dense output and event location.
 
 Internal plumbing shared by the trajectory integrators and the scaled
-exponential-integral ODE.  State is a small numpy vector; tolerances follow
+exponential-integral ODE.  State is a tuple of Python floats, which keeps the
+per-stage arithmetic free of numpy call overhead; tolerances follow
 the usual mixed absolute/relative convention.  Events are located on the
 quartic dense-output interpolant by bisection, which keeps switch points
 accurate to ~1e-13 in time.
@@ -50,7 +51,7 @@ class Event:
     opposite, 0 on any sign change.
     """
 
-    g: Callable[[float, np.ndarray], float]
+    g: Callable[[float, tuple], float]
     direction: int = 0
 
 
@@ -63,10 +64,12 @@ class DenseSegment:
         self.t0, self.t1, self.h = t0, t1, h
         self._r1, self._r2, self._r3, self._r4, self._r5 = r1, r2, r3, r4, r5
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> tuple:
         th = (t - self.t0) / self.h
         th1 = 1.0 - th
-        return self._r1 + th * (self._r2 + th1 * (self._r3 + th * (self._r4 + th1 * self._r5)))
+        return tuple([a + th * (b + th1 * (c + th * (d + th1 * e)))
+                      for a, b, c, d, e in zip(self._r1, self._r2, self._r3,
+                                               self._r4, self._r5)])
 
     def trimmed(self, t_end: float) -> "DenseSegment":
         return DenseSegment(self.t0, t_end, self.h,
@@ -84,7 +87,7 @@ class OdeResult:
 
 
 def solve_rk45(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, tuple], Sequence[float]],
     t0: float,
     y0: Sequence[float],
     t1: float,
@@ -97,23 +100,25 @@ def solve_rk45(
 ) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t1 (t1 may be below t0).
 
-    Stops at t1 or at the first event root, whichever comes first.  When
-    ``on_dense`` is given it is called once per accepted step (trimmed to the
-    event time on the final step) so callers can sample the solution at
-    arbitrary times without constraining the step sequence.
+    f receives the state as a tuple and may return any sequence of floats
+    (a tuple is fastest).  Stops at t1 or at the first event root, whichever
+    comes first.  When ``on_dense`` is given it is called once per accepted
+    step (trimmed to the event time on the final step) so callers can sample
+    the solution at arbitrary times without constraining the step sequence.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = tuple(map(float, y0))
+    n = len(y)
     t = t0
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0.0:
-        return OdeResult("reached", t0, y)
+        return OdeResult("reached", t0, np.array(y))
     hmax = span if max_step is None else min(max_step, span)
     h = first_step if first_step is not None else min(1e-3 * span + 1e-12, hmax)
     h = min(h, hmax)
     h_floor = 1e-13 * max(1.0, abs(t0), abs(t1))
 
-    k1 = np.asarray(f(t, y), dtype=float)
+    k1 = f(t, y)
     g_prev = [ev.g(t, y) for ev in events]
     err_prev = 1.0
     n_steps = n_forced = 0
@@ -125,18 +130,33 @@ def solve_rk45(
             h = h_floor
         hs = direction * h
 
-        k2 = f(t + _C2 * hs, y + hs * (_A21 * k1))
-        k3 = f(t + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(t + _C5 * hs, y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(t + hs, y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        dy5 = hs * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-        y5 = y + dy5
-        k7 = np.asarray(f(t + hs, y5), dtype=float)
-        y4 = y + hs * (_B41 * k1 + _B43 * k3 + _B44 * k4 + _B45 * k5 + _B46 * k6 + _B47 * k7)
+        k2 = f(t + _C2 * hs, tuple([
+            yi + hs * (_A21 * a) for yi, a in zip(y, k1)]))
+        k3 = f(t + _C3 * hs, tuple([
+            yi + hs * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)]))
+        k4 = f(t + _C4 * hs, tuple([
+            yi + hs * (_A41 * a + _A42 * b + _A43 * c)
+            for yi, a, b, c in zip(y, k1, k2, k3)]))
+        k5 = f(t + _C5 * hs, tuple([
+            yi + hs * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+        k6 = f(t + hs, tuple([
+            yi + hs * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+        dy5 = tuple([hs * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * g)
+                     for a, c, d, e, g in zip(k1, k3, k4, k5, k6)])
+        y5 = tuple([yi + d for yi, d in zip(y, dy5)])
+        k7 = f(t + hs, y5)
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        # RMS of (y5 - y4)/scale; the max keeps NaN like np.maximum does
+        acc = 0.0
+        for yi, y5i, a, c, d, e, g, q in zip(y, y5, k1, k3, k4, k5, k6, k7):
+            y4i = yi + hs * (_B41 * a + _B43 * c + _B44 * d + _B45 * e
+                             + _B46 * g + _B47 * q)
+            ya, yb = abs(yi), abs(y5i)
+            z = (y5i - y4i) / (atol + rtol * (ya if ya >= yb or ya != ya else yb))
+            acc += z * z
+        err = math.sqrt(acc / n)
 
         forced = False
         if err > 1.0:
@@ -155,11 +175,11 @@ def solve_rk45(
                     f"step size pinned at floor near t={t!r} ({n_forced} forced steps)")
 
         t_new = t + hs
-        r2 = dy5
-        r3 = hs * k1 - dy5
-        r4 = dy5 - hs * k7 - r3
-        r5 = hs * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-        seg = DenseSegment(t, t_new, hs, y.copy(), r2, r3, r4, r5)
+        r3 = tuple([hs * a - d for a, d in zip(k1, dy5)])
+        r4 = tuple([d - hs * q - c for d, q, c in zip(dy5, k7, r3)])
+        r5 = tuple([hs * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * g + _D7 * q)
+                    for a, c, d, e, g, q in zip(k1, k3, k4, k5, k6, k7)])
+        seg = DenseSegment(t, t_new, hs, y, dy5, r3, r4, r5)
 
         hit_index = None
         t_hit = None
@@ -182,7 +202,8 @@ def solve_rk45(
             y_hit = seg(t_hit)
             if on_dense is not None:
                 on_dense(seg.trimmed(t_hit))
-            return OdeResult("event", t_hit, y_hit, hit_index, n_steps, n_forced)
+            return OdeResult("event", t_hit, np.array(y_hit), hit_index,
+                             n_steps, n_forced)
 
         if on_dense is not None:
             on_dense(seg)
@@ -193,7 +214,7 @@ def solve_rk45(
         h *= min(5.0, max(0.2, fac))
         err_prev = max(err, 1e-10)
 
-    return OdeResult("reached", t, y, None, n_steps, n_forced)
+    return OdeResult("reached", t, np.array(y), None, n_steps, n_forced)
 
 
 def _locate_root(g, ta, tb, ga, gb, iters: int = 80) -> float:
@@ -217,11 +238,11 @@ def _locate_root(g, ta, tb, ga, gb, iters: int = 80) -> float:
 
 
 class SampleCollector:
-    """Collects dense-output samples at prescribed, sorted times."""
+    """Collects dense-output samples (state tuples) at prescribed, sorted times."""
 
     def __init__(self, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
-        self.values: list[np.ndarray] = []
+        self.values: list[tuple] = []
         self.taken: list[float] = []
         self._idx = 0
 
@@ -234,6 +255,6 @@ class SampleCollector:
                 continue
             if tq > hi + 1e-15:
                 break
-            self.values.append(np.asarray(seg(min(max(tq, lo), hi)), dtype=float))
+            self.values.append(seg(min(max(tq, lo), hi)))
             self.taken.append(tq)
             self._idx += 1

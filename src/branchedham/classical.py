@@ -200,8 +200,8 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
         cur_branch = branch
 
         def rhs(tt, y):
-            return np.array([vfun(model, y[1], cur_branch),
-                             -model.potential.derivative(y[0])])
+            return (vfun(model, y[1], cur_branch),
+                    -model.potential.derivative(y[0]))
 
         switch_events = _branch_events(model, cur_branch)
         escape_events = [Event(g_x_escape, +1)]
@@ -327,8 +327,7 @@ def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
 
     def rhs(tt, y):
         dv = y[1] - 1.0
-        return np.array([y[1],
-                         coef * y[0] * math.copysign(abs(dv) ** (5.0 / 3.0), dv)])
+        return (y[1], coef * y[0] * math.copysign(abs(dv) ** (5.0 / 3.0), dv))
 
     escape = {"hit": False, "t": None}
     collector = SampleCollector(np.linspace(0.0, t_max, n_samples))
@@ -444,6 +443,12 @@ def energy_contour(model, E: float, branch: BranchId,
     set does not intersect the grid.  Points outside the branch domain are
     masked, so family contours stop at p -> 0+ and gaussian ones at the
     momentum bound.
+
+    H separates as kin(p) + V(x): the potential row V(xs) is evaluated once
+    per grid as an array, and each column adds the scalar kinetic value
+    kin(p_j) = H(0, p_j) - V(0).  Elementwise evaluation does the same
+    floating-point operations as a scalar call per grid point, so the
+    vertices are bit-identical to the pointwise construction.
     """
     if grid is None:
         if isinstance(model, GaussianModel):
@@ -453,6 +458,7 @@ def energy_contour(model, E: float, branch: BranchId,
             grid = GridSpec(-2.5, 2.5, 1e-3, 4.0, 501, 501)
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
     ps = np.linspace(grid.p_min, grid.p_max, grid.np_)
+    vx = model.potential(xs)
     h = np.full((grid.nx, grid.np_), np.nan)
     for j, pv in enumerate(ps):
         try:
@@ -460,7 +466,7 @@ def energy_contour(model, E: float, branch: BranchId,
                 - model.potential(0.0)
         except (DomainError, SingularInputError):
             continue
-        h[:, j] = kin + np.array([model.potential(float(xv)) for xv in xs])
+        h[:, j] = kin + vx
     return _marching_squares(xs, ps, h, E)
 
 

@@ -82,19 +82,12 @@ def validate_config(cfg: dict) -> dict:
             raise ValidationError(f"config.output.formats: unknown format {f!r}")
 
     try:
-        models.model_from_config(cfg.get("model", {"kind": "susy"}))
+        model = models.model_from_config(cfg.get("model", {"kind": "susy"}))
     except BranchedHamError as exc:
         raise ValidationError(f"config.model: {exc}") from exc
 
     if command == "classical":
-        energies = cfg.get("energies", [])
-        if not isinstance(energies, list) or not all(
-                isinstance(e, (int, float)) for e in energies):
-            raise ValidationError("config.energies: must be a list of numbers")
-        for k, tr in enumerate(cfg.get("trajectories", [])):
-            allowed = {"x", "p", "branch", "t_max", "x_v"}
-            if not isinstance(tr, dict) or set(tr) - allowed:
-                raise ValidationError(f"config.trajectories[{k}]: bad fields")
+        _validate_classical(cfg, model)
     if command == "quantum":
         if cfg.get("profile", "susy_minus") not in ("susy_minus", "susy_plus",
                                                     "deformed_plus"):
@@ -109,6 +102,63 @@ def validate_config(cfg: dict) -> dict:
                 not isinstance(k, (int, float)) or k < 0 for k in kappas):
             raise ValidationError("config.kappas: must be a list of kappa >= 0")
     return cfg
+
+
+def _validate_classical(cfg: dict, model) -> None:
+    energies = cfg.get("energies", [])
+    if not isinstance(energies, list):
+        raise ValidationError("config.energies: must be a list of numbers")
+    for k, e in enumerate(energies):
+        _require_finite(e, f"config.energies[{k}]")
+    for key in ("tol", "t_max"):
+        if key in cfg:
+            _require_positive(cfg[key], f"config.{key}")
+    n_samples = cfg.get("n_samples", 2000)
+    if not isinstance(n_samples, int) or isinstance(n_samples, bool) \
+            or n_samples < 1:
+        raise ValidationError(
+            f"config.n_samples: must be a positive integer, got {n_samples!r}")
+    trajectories = cfg.get("trajectories", [])
+    if not isinstance(trajectories, list):
+        raise ValidationError("config.trajectories: must be a list")
+    branches = sorted(b.value for b in _branches_for(model))
+    for k, tr in enumerate(trajectories):
+        path = f"config.trajectories[{k}]"
+        allowed = {"x", "p", "branch", "t_max", "x_v"}
+        if not isinstance(tr, dict) or set(tr) - allowed:
+            raise ValidationError(f"{path}: bad fields")
+        if "t_max" in tr:
+            _require_positive(tr["t_max"], f"{path}.t_max")
+        if "x_v" in tr:
+            xv = tr["x_v"]
+            if not isinstance(xv, list) or len(xv) != 2:
+                raise ValidationError(f"{path}.x_v: must be a pair [x, v]")
+            for i, v in enumerate(xv):
+                _require_finite(v, f"{path}.x_v[{i}]")
+            continue
+        for key in ("x", "p"):
+            if key not in tr:
+                raise ValidationError(f"{path}.{key}: required unless x_v is given")
+            _require_finite(tr[key], f"{path}.{key}")
+        if tr.get("branch") not in branches:
+            raise ValidationError(f"{path}.branch: must be one of {branches} for "
+                                  f"this model, got {tr.get('branch')!r}")
+
+
+def _require_finite(v, path: str) -> None:
+    try:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) \
+            and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValidationError(f"{path}: must be a finite number, got {v!r}")
+
+
+def _require_positive(v, path: str) -> None:
+    _require_finite(v, path)
+    if v <= 0:
+        raise ValidationError(f"{path}: must be > 0, got {v!r}")
 
 
 def run(cfg: dict, out_dir: str | Path, formats: tuple[str, ...] = ("csv", "json")) -> dict:

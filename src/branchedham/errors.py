@@ -50,10 +50,6 @@ class BelowThresholdError(NoOrbitError):
     """Energy below the threshold for bounded motion."""
 
 
-class EscapeError(BranchedHamError, RuntimeError):
-    """Trajectory left the configured phase-space bounds."""
-
-
 class ValidationError(BranchedHamError, ValueError):
     """Run configuration failed validation; message carries the field path."""
 

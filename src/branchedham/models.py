@@ -9,9 +9,11 @@
 * SUSY model: the k=1 member with V(x) = x^2, whose single-valued classical
   energy function E(x, v) complements the double-valued H branches.
 
-All operations are scalar, pure and thread-safe.  Singular inputs (p=0 on an
-outer-family branch, v=1 of the odd-root family) raise typed errors so
-integrators must decide explicitly what to do there.
+All operations are pure and thread-safe.  The model functions are scalar;
+``Potential`` and its derivative also evaluate elementwise on numpy arrays,
+with the same floating-point operations as the scalar call.  Singular inputs
+(p=0 on an outer-family branch, v=1 of the odd-root family) raise typed
+errors so integrators must decide explicitly what to do there.
 """
 
 from __future__ import annotations
@@ -54,7 +56,11 @@ class BranchId(Enum):
 
 @dataclass(frozen=True)
 class Potential:
-    """V(x): zero, shifted harmonic c0 + a x^2, or the plain square x^2."""
+    """V(x): zero, shifted harmonic c0 + a x^2, or the plain square x^2.
+
+    x may be a float or a numpy array; "zero" returns the scalar 0.0, which
+    broadcasts against an array.
+    """
 
     kind: str = "zero"          # "zero" | "harmonic_shifted" | "square"
     c0: float = 0.0

@@ -37,6 +37,11 @@ from typing import Callable
 
 import numpy as np
 
+# the Dormand-Prince 5(4) tableau; the first three stages keep their
+# coefficients as literals, which compile to constants in the stepper loop
+from ._ode import (_A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
+                   _A64, _A65, _A71, _A73, _A74, _A75, _A76, _B41, _B43, _B44,
+                   _B45, _B46, _B47, _D1, _D3, _D4, _D5, _D6, _D7)
 from .deformation import DeformationProfile, deformed_shift_at_zero
 from .errors import (ConvergenceError, DomainError, NoSignChangeError,
                      ZeroEnergyError)
@@ -191,26 +196,13 @@ def _frobenius_init(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     return psi, dpsi
 
 
-# Dormand-Prince 5(4) coefficients, scalar form for the linear problem
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # 5th-minus-4th order weights for the error estimate
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
-# dense-output weights (Hairer's dopri5 rcont5)
-_D1 = -12715105075 / 11282082432
-_D3 = 87487479700 / 32700410799
-_D4 = -10690763975 / 1880347072
-_D5 = 701980252875 / 199316789632
-_D6 = -1453857185 / 822651844
-_D7 = 69997945 / 29380423
+_E1 = _A71 - _B41
+_E3 = _A73 - _B43
+_E4 = _A74 - _B44
+_E5 = _A75 - _B45
+_E6 = _A76 - _B46
+_E7 = -_B47
 
 
 def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
@@ -265,8 +257,8 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
         u_end = u(t + hs) - E
         f6y, f6d = d6, u_end * y6
 
-        dy5y = hs * (_B1 * f1y + _B3 * f3y + _B4 * f4y + _B5 * f5y + _B6 * f6y)
-        dy5d = hs * (_B1 * f1d + _B3 * f3d + _B4 * f4d + _B5 * f5d + _B6 * f6d)
+        dy5y = hs * (_A71 * f1y + _A73 * f3y + _A74 * f4y + _A75 * f5y + _A76 * f6y)
+        dy5d = hs * (_A71 * f1d + _A73 * f3d + _A74 * f4d + _A75 * f5d + _A76 * f6d)
         ynew = y + dy5y
         dnew = dy + dy5d
         f7y, f7d = dnew, u_end * ynew

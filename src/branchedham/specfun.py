@@ -119,8 +119,8 @@ def _g_series(p: float) -> float:
     return p * (1.0 + q * (-4.0 / 5.0 + q * (2.0 / 5.0 + q * (-8.0 / 55.0 + q * 16.0 / 385.0))))
 
 
-def _g_rhs(t: float, y: np.ndarray) -> np.ndarray:
-    return np.array([1.0 - 2.0 * math.sqrt(t) * y[0]])
+def _g_rhs(t: float, y: tuple) -> tuple:
+    return (1.0 - 2.0 * math.sqrt(t) * y[0],)
 
 
 def scaled_g(p: float, tol: float = 1e-10) -> float:

@@ -334,6 +334,64 @@ class TestEnergyContour:
         assert energy_contour(susy_model(), -50.0, BranchId.H_PLUS) == []
 
 
+def _pointwise_contour(model, E, branch, grid):
+    """energy_contour with H built by one scalar call per grid point."""
+    from branchedham.classical import _hamiltonian, _marching_squares
+    xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
+    ps = np.linspace(grid.p_min, grid.p_max, grid.np_)
+    h = np.full((grid.nx, grid.np_), np.nan)
+    for j, pv in enumerate(ps):
+        try:
+            kin = _hamiltonian(model, 0.0, float(pv), branch) - model.potential(0.0)
+        except (DomainError, SingularInputError):
+            continue
+        h[:, j] = kin + np.array([model.potential(float(xv)) for xv in xs])
+    return _marching_squares(xs, ps, h, E)
+
+
+_POTENTIALS = {
+    "zero": Potential("zero"),
+    "square": Potential("square"),
+    "harmonic_shifted": Potential("harmonic_shifted", c0=0.3, a=0.7),
+}
+
+
+class TestEnergyContourBits:
+    """The array potential row reproduces the pointwise H grid bit for bit."""
+
+    @pytest.mark.parametrize("pot", sorted(_POTENTIALS))
+    @pytest.mark.parametrize("branch", [BranchId.MINUS, BranchId.MIDDLE, BranchId.PLUS])
+    def test_gaussian(self, pot, branch):
+        m = GaussianModel(1.3, 0.8, _POTENTIALS[pot])
+        pc = m.p_cusp
+        grid = GridSpec(-1.7, 1.9, -1.05 * pc, 1.05 * pc, 73, 61)
+        for E in (-0.7, -0.4, 0.1, 0.3, 0.9, 1.6):
+            got = energy_contour(m, E, branch, grid)
+            ref = _pointwise_contour(m, E, branch, grid)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("pot", sorted(_POTENTIALS))
+    @pytest.mark.parametrize("branch", [BranchId.H_MINUS, BranchId.H_PLUS])
+    def test_family(self, pot, branch):
+        from branchedham.models import FamilyModel
+        m = FamilyModel(2, _POTENTIALS[pot])
+        grid = GridSpec(-2.1, 2.3, 1e-3, 4.0, 67, 59)
+        for E in (-0.2, 0.8, 1.5, 2.7):
+            got = energy_contour(m, E, branch, grid)
+            ref = _pointwise_contour(m, E, branch, grid)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_default_grid(self):
+        m = susy_model()
+        grid = GridSpec(-2.5, 2.5, 1e-3, 4.0, 501, 501)
+        got = energy_contour(m, 1.4, BranchId.H_PLUS)
+        ref = _pointwise_contour(m, 1.4, BranchId.H_PLUS, grid)
+        assert got and len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 class TestExports(object):
     def test_trajectory_csv_json(self, tmp_path):
         traj = integrate_branch_flow(GAUSS_HARMONIC, start_on_middle(GAUSS_HARMONIC, 1.5),

@@ -38,6 +38,27 @@ class TestValidation:
         for fx in FIXTURES.glob("*.json"):
             validate_config(load_fixture(fx.name))
 
+    @pytest.mark.parametrize("change, path", [
+        ({"trajectories": [{"x": 0.7, "p": 0.0, "branch": "foo"}]},
+         "config.trajectories[0].branch"),
+        ({"trajectories": [{"p": 0.0, "branch": "middle"}]},
+         "config.trajectories[0].x"),
+        ({"n_samples": -5}, "config.n_samples"),
+        ({"tol": "abc"}, "config.tol"),
+        ({"energies": [0.8, float("nan")]}, "config.energies[1]"),
+    ])
+    def test_classical_probe_exits_2_without_files(self, tmp_path, capsys,
+                                                   change, path):
+        cfg = load_fixture("gaussian_portrait.json")
+        cfg.update(change)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["classical", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_rejected_config_produces_no_files(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"command": "branches", "oops": 1}))
