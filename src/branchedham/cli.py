@@ -89,13 +89,7 @@ def validate_config(cfg: dict) -> dict:
     if command == "classical":
         _validate_classical(cfg, model)
     if command == "quantum":
-        if cfg.get("profile", "susy_minus") not in ("susy_minus", "susy_plus",
-                                                    "deformed_plus"):
-            raise ValidationError("config.profile: unknown profile")
-        if cfg.get("bc", "neumann") not in ("dirichlet", "neumann", "robin"):
-            raise ValidationError("config.bc: unknown boundary condition")
-        if "bracket" not in cfg and "e_max" not in cfg:
-            raise ValidationError("config: quantum needs 'bracket' or 'e_max'")
+        _validate_quantum(cfg)
     if command == "deform":
         kappas = cfg.get("kappas", [])
         if not isinstance(kappas, list) or not kappas or any(
@@ -133,6 +127,9 @@ def _validate_classical(cfg: dict, model) -> None:
             xv = tr["x_v"]
             if not isinstance(xv, list) or len(xv) != 2:
                 raise ValidationError(f"{path}.x_v: must be a pair [x, v]")
+            if model != models.susy_model():
+                raise ValidationError(f"{path}.x_v: the (x, v) flow exists only "
+                                      f"for the susy model")
             for i, v in enumerate(xv):
                 _require_finite(v, f"{path}.x_v[{i}]")
             continue
@@ -143,6 +140,47 @@ def _validate_classical(cfg: dict, model) -> None:
         if tr.get("branch") not in branches:
             raise ValidationError(f"{path}.branch: must be one of {branches} for "
                                   f"this model, got {tr.get('branch')!r}")
+        try:
+            classical.make_state(model, 0.0, float(tr["x"]), float(tr["p"]),
+                                 models.BranchId(tr["branch"]))
+        except BranchedHamError as exc:
+            raise ValidationError(f"{path}: bad start state: {exc}") from exc
+
+
+def _validate_quantum(cfg: dict) -> None:
+    if cfg.get("profile", "susy_minus") not in ("susy_minus", "susy_plus",
+                                                "deformed_plus"):
+        raise ValidationError("config.profile: unknown profile")
+    if cfg.get("bc", "neumann") not in ("dirichlet", "neumann", "robin"):
+        raise ValidationError("config.bc: unknown boundary condition")
+    if "bracket" not in cfg and "e_max" not in cfg:
+        raise ValidationError("config: quantum needs 'bracket' or 'e_max'")
+    for key in ("tol", "tol_e"):
+        if key in cfg:
+            _require_positive(cfg[key], f"config.{key}")
+    if "kappa" in cfg:
+        _require_finite(cfg["kappa"], "config.kappa")
+        if cfg["kappa"] < 0:
+            raise ValidationError(f"config.kappa: must be >= 0, got {cfg['kappa']!r}")
+    if "e_max" in cfg:
+        _require_finite(cfg["e_max"], "config.e_max")
+    if "bracket" in cfg:
+        bracket = cfg["bracket"]
+        if not isinstance(bracket, list) or len(bracket) != 2:
+            raise ValidationError("config.bracket: must be a pair [lo, hi]")
+        for i, v in enumerate(bracket):
+            _require_finite(v, f"config.bracket[{i}]")
+        if not bracket[0] < bracket[1]:
+            raise ValidationError(f"config.bracket: needs lo < hi, got {bracket!r}")
+        e_top, top_path = bracket[1], "config.bracket[1]"
+    else:
+        e_top, top_path = cfg["e_max"], "config.e_max"
+    # the solver shoots at energies up to e_top, which needs p_max > E
+    if cfg.get("p_max") is not None:
+        _require_positive(cfg["p_max"], "config.p_max")
+        if not cfg["p_max"] > e_top:
+            raise ValidationError(f"config.p_max: must exceed {top_path}={e_top!r}, "
+                                  f"got {cfg['p_max']!r}")
 
 
 def _require_finite(v, path: str) -> None:

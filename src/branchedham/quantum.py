@@ -17,8 +17,12 @@ p_max = E + 25 by default; the linear tail makes the error beyond the
 turning point Airy-exponentially small, and every eigenvalue solve verifies
 this by re-solving with doubled p_max.
 
-Sign changes of the normalized far-boundary mismatch bracket eigenvalues;
-bisection refines them.  Eigenfunctions are then rebuilt from a matched
+Each shot also counts the sign changes of psi on (0, p_max].  Since
+psi(p0) > 0 for every boundary condition, that count is N(E), the number of
+levels below E (Sturm oscillation theorem), and its parity is the sign of
+the normalized far-boundary mismatch.  Spectra isolate levels by bisecting
+the count over a fixed energy grid; bisection on the mismatch sign refines
+each isolated level.  Eigenfunctions are then rebuilt from a matched
 outward/inward pair so the classically forbidden tail is clean, resampled
 to a uniform grid, and Simpson-normalized.
 
@@ -56,6 +60,7 @@ __all__ = [
 _P_START = 1e-6          # Frobenius handoff point
 _DEFAULT_MARGIN = 25.0   # p_max = E + margin
 _RESCALE_LIMIT = 1e250
+_MAX_GRID = 10 ** 6      # spectrum grid points; bounds the grid's memory
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ class ShootResult:
     p_max: float
     n_rescale: int
     log_scale: float          # accumulated ln of the rescaling factors
+    n_zeros: int              # sign changes of psi on (0, p_max]: N(E)
     ps: np.ndarray | None = None
     psi: np.ndarray | None = None
     dpsi: np.ndarray | None = None
@@ -211,7 +217,9 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
                       allow_rescale: bool = True):
     """Adaptive RK45 for psi'' = (U - E) psi from p_from to p_to.
 
-    Returns (psi, dpsi, runmax, n_rescale, log_scale, grid_psi, grid_dpsi).
+    Returns (psi, dpsi, runmax, n_rescale, log_scale, grid_psi, grid_dpsi,
+    n_zeros), where n_zeros counts the sign changes of psi between accepted
+    steps (rescaling divides by a positive number and keeps the sign).
     grid, when given, must be sorted in the direction of integration and lie
     inside [p_from, p_to]; values are filled from the quartic dense output.
     Scalar-pair state keeps this loop fast enough for eigenvalue bisection.
@@ -220,6 +228,7 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
     t = p_from
     runmax = abs(y)
     n_rescale = 0
+    n_zeros = 0
     log_scale = 0.0
     g_psi = np.empty(len(grid)) if grid is not None else None
     g_dpsi = np.empty(len(grid)) if grid is not None else None
@@ -297,6 +306,12 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
                 g_dpsi[gi] = dy + th * (dy5d + th1 * (r3d + th * (r4d + th1 * r5d)))
                 gi += 1
 
+        # (ynew < 0) != (y < 0), as compare-and-jumps, which are cheaper
+        if ynew < 0.0:
+            if not y < 0.0:
+                n_zeros += 1
+        elif y < 0.0:
+            n_zeros += 1
         t, y, dy = t_new, ynew, dnew
         f1y, f1d = f7y, f7d
         ay = abs(y)
@@ -317,7 +332,7 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
         h *= min(5.0, max(0.2, fac))
         err_prev = max(err, 1e-10)
 
-    return y, dy, runmax, n_rescale, log_scale, g_psi, g_dpsi
+    return y, dy, runmax, n_rescale, log_scale, g_psi, g_dpsi, n_zeros
 
 
 def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
@@ -325,9 +340,10 @@ def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
           n_out: int = 0) -> ShootResult:
     """Outward shot from the Frobenius start; mismatch = psi(p_max)/max|psi|.
 
-    Sign changes of the mismatch in E bracket eigenvalues.  The forbidden
-    region grows like exp(+(2/3)(p_max - E)^{3/2}); an overflow guard
-    renormalizes psi on the way and records the accumulated scale.
+    Sign changes of the mismatch in E bracket eigenvalues, and n_zeros
+    counts the levels below E.  The forbidden region grows like
+    exp(+(2/3)(p_max - E)^{3/2}); an overflow guard renormalizes psi on the
+    way and records the accumulated scale.
     """
     if p_max is None:
         p_max = E + _DEFAULT_MARGIN
@@ -338,10 +354,10 @@ def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     y0, dy0 = _frobenius_init(profile, E, bc)
     u = profile.u_callable()
     grid = np.linspace(_P_START, p_max, n_out) if n_out else None
-    y, dy, runmax, n_rescale, log_scale, g_psi, g_dpsi = _integrate_linear(
-        u, E, _P_START, p_max, y0, dy0, tol, grid=grid,
-        allow_rescale=grid is None)
-    return ShootResult(y / runmax, p_max, n_rescale, log_scale,
+    y, dy, runmax, n_rescale, log_scale, g_psi, g_dpsi, n_zeros = \
+        _integrate_linear(u, E, _P_START, p_max, y0, dy0, tol, grid=grid,
+                          allow_rescale=grid is None)
+    return ShootResult(y / runmax, p_max, n_rescale, log_scale, n_zeros,
                        ps=grid, psi=g_psi, dpsi=g_dpsi)
 
 
@@ -491,31 +507,81 @@ def spectrum(profile: PotentialProfile, bc: BoundaryCondition, E_max: float,
              tol_E: float = 1e-7, scan_step: float = 0.05,
              p_max: float | None = None, tol: float = 1e-9,
              check_doubling: bool = False) -> list[EigenSolution]:
-    """All eigenvalues below E_max by scan-and-bisect; ascending, no duplicates.
+    """All eigenvalues below E_max; ascending, no duplicates, complete.
 
-    The scan starts slightly below zero, which is safe because both spectra
-    are non-negative under Dirichlet or Neumann data.
+    Levels are isolated on the energy grid -2 scan_step, -scan_step, ...,
+    E_max by bisecting the shot zero count N(E) over grid indices, so cells
+    that hold no level are never shot.  A cell holding one level is solved
+    with that cell as the bracket; a cell holding several is split by
+    bisecting N(E) in energy until each piece holds one.  The number of
+    levels returned equals N(E_max) - N(-2 scan_step), or ConvergenceError
+    is raised.  The grid starts slightly below zero, which is safe because
+    both spectra are non-negative under Dirichlet or Neumann data.
     """
     if not math.isfinite(E_max):
         raise DomainError("spectrum: E_max must be finite")
+    if not scan_step > 0.0:
+        raise DomainError("spectrum: scan_step must be positive")
     if E_max < 0.0:
         return []
+    if E_max / scan_step + 2.0 > _MAX_GRID:
+        raise DomainError(f"spectrum: E_max={E_max!r} needs more than {_MAX_GRID} "
+                          f"grid points at scan_step={scan_step!r}")
     if p_max is None:
         p_max = E_max + _DEFAULT_MARGIN
-    e_scan = -2.0 * scan_step
-    prev = shoot(profile, e_scan, bc, p_max, tol).mismatch
+    grid = [-2.0 * scan_step]
+    while grid[-1] < E_max:
+        grid.append(min(grid[-1] + scan_step, E_max))
+    counts: dict[int, int] = {}
+
+    def count(i: int) -> int:
+        if i not in counts:
+            counts[i] = shoot(profile, grid[i], bc, p_max, tol).n_zeros
+        return counts[i]
+
     found: list[EigenSolution] = []
-    while e_scan < E_max:
-        e_next = min(e_scan + scan_step, E_max)
-        cur = shoot(profile, e_next, bc, p_max, tol).mismatch
-        if (prev < 0.0) != (cur < 0.0):
-            sol = solve_eigenvalue(profile, bc, (e_scan, e_next), tol_E,
+
+    def split(e_lo: float, n_lo: int, e_hi: float, n_hi: int) -> None:
+        # (e_lo, e_hi] holds n_hi - n_lo >= 1 levels
+        if n_hi - n_lo == 1:
+            sol = solve_eigenvalue(profile, bc, (e_lo, e_hi), tol_E,
                                    p_max=p_max, tol=tol,
                                    check_doubling=check_doubling)
             if not found or abs(sol.E - found[-1].E) > tol_E:
                 found.append(sol)
-        prev = cur
-        e_scan = e_next
+            return
+        if e_hi - e_lo <= tol_E:
+            raise ConvergenceError(
+                f"spectrum: {n_hi - n_lo} levels within tol_E of {e_lo!r}")
+        mid = 0.5 * (e_lo + e_hi)
+        n_mid = shoot(profile, mid, bc, p_max, tol).n_zeros
+        if not n_lo <= n_mid <= n_hi:
+            raise ConvergenceError(f"spectrum: zero count not monotone at {mid!r}")
+        if n_mid > n_lo:
+            split(e_lo, n_lo, mid, n_mid)
+        if n_hi > n_mid:
+            split(mid, n_mid, e_hi, n_hi)
+
+    def isolate(i: int, j: int) -> None:
+        n_i, n_j = count(i), count(j)
+        if n_j < n_i:
+            raise ConvergenceError(
+                f"spectrum: zero count not monotone on [{grid[i]!r}, {grid[j]!r}]")
+        if n_i == n_j:
+            return
+        if j - i == 1:
+            split(grid[i], n_i, grid[j], n_j)
+            return
+        m = (i + j) // 2
+        isolate(i, m)
+        isolate(m, j)
+
+    last = len(grid) - 1
+    isolate(0, last)
+    if len(found) != count(last) - count(0):
+        raise ConvergenceError(
+            f"spectrum: found {len(found)} levels below {E_max!r}, zero count "
+            f"says {count(last) - count(0)}")
     return found
 
 

@@ -16,6 +16,18 @@ def load_fixture(name):
         return json.load(fh)
 
 
+def assert_rejected(tmp_path, capsys, fixture, change, path):
+    """The fixture with `change` applied exits 2, names `path`, writes nothing."""
+    cfg = load_fixture(fixture)
+    cfg.update(change)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([cfg["command"], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestValidation:
     def test_unknown_top_level_field(self):
         cfg = {"command": "branches", "frobnicate": 1}
@@ -58,6 +70,30 @@ class TestValidation:
         assert code == 2
         assert path in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("change, path", [
+        ({"trajectories": [{"x_v": [0.3, 0.5]}]}, "config.trajectories[0].x_v"),
+        ({"model": {"kind": "susy"}, "energies": [1.4],
+          "trajectories": [{"x": 0.0, "p": -1.0, "branch": "h_plus"}]},
+         "config.trajectories[0]"),
+    ])
+    def test_classical_trajectory_probe_exits_2_without_files(
+            self, tmp_path, capsys, change, path):
+        assert_rejected(tmp_path, capsys, "gaussian_portrait.json", change, path)
+
+    @pytest.mark.parametrize("fixture, change, path", [
+        ("quantum_excited.json", {"tol": "abc"}, "config.tol"),
+        ("quantum_excited.json", {"e_max": "x"}, "config.e_max"),
+        ("quantum_excited.json", {"bracket": [0.5]}, "config.bracket"),
+        ("quantum_deformed.json", {"kappa": -1}, "config.kappa"),
+        ("quantum_deformed.json", {"bracket": [0.5, -0.5]}, "config.bracket"),
+        ("quantum_deformed.json", {"e_max": float("nan")}, "config.e_max"),
+        ("quantum_deformed.json", {"p_max": 0.1}, "config.p_max"),
+        ("quantum_deformed.json", {"tol_e": -1}, "config.tol_e"),
+    ])
+    def test_quantum_probe_exits_2_without_files(self, tmp_path, capsys,
+                                                 fixture, change, path):
+        assert_rejected(tmp_path, capsys, fixture, change, path)
 
     def test_rejected_config_produces_no_files(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

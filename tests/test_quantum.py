@@ -54,6 +54,28 @@ def numerov_e1_oracle():
     return 0.5 * (lo + hi)
 
 
+def fd_levels(profile, bc, length=55.0, n=1500):
+    """Eigenvalues of a second-order finite-difference matrix for
+    -psi'' + (p + s/(2 sqrt p)) psi on (0, length) with psi(length) = 0,
+    s = profile.sign.
+
+    Dirichlet data uses vertex nodes, Neumann data cell centres with a
+    mirrored ghost node; the singular term is replaced by its cell average.
+    """
+    if bc.kind == "dirichlet":
+        h = length / n
+        p = h * np.arange(1, n)
+    else:
+        h = length / (n - 0.5)
+        p = h * (np.arange(1, n) - 0.5)
+    lo, hi = np.maximum(p - 0.5 * h, 0.0), p + 0.5 * h
+    diag = 2.0 / h ** 2 + p + profile.sign * (np.sqrt(hi) - np.sqrt(lo)) / (hi - lo)
+    if bc.kind == "neumann":
+        diag[0] -= 1.0 / h ** 2
+    off = np.full(n - 2, -1.0 / h ** 2)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
 @pytest.fixture(scope="module")
 def ground():
     return solve_eigenvalue(MINUS, N, (-0.5, 0.5))
@@ -96,6 +118,25 @@ class TestShoot:
     def test_pmax_validation(self):
         with pytest.raises(DomainError):
             shoot(MINUS, 3.0, D, p_max=2.0)
+
+    @pytest.mark.parametrize("profile", [MINUS, PLUS])
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_zero_count_is_level_count(self, profile, bc):
+        # Sturm oscillation: the zeros of the shot on (0, p_max] number the
+        # levels below E.  Each energy of a coarse grid up to 40 is moved to
+        # the middle of the finite-difference level gap that holds it, so the
+        # matrix's O(h^2) level error (< 0.04 at n = 1500) cannot flip a count.
+        levels = fd_levels(profile, bc)
+        edges = np.concatenate([[-1.0], levels])
+        for e in np.arange(-0.1, 40.0, 1.0):
+            k = int(np.sum(levels < e))
+            mid = 0.5 * (edges[k] + edges[k + 1])
+            assert shoot(profile, float(mid), bc).n_zeros == k, (e, mid)
+
+    def test_zero_count_parity_is_mismatch_sign(self):
+        for e in np.arange(-0.5, 6.0, 0.25):
+            res = shoot(MINUS, float(e), D)
+            assert (res.n_zeros % 2 == 1) == (res.mismatch < 0.0)
 
     def test_overflow_guard_rescales(self):
         res = shoot(MINUS, 1.0, D, p_max=110.0)
@@ -196,6 +237,51 @@ class TestSpectrum:
 
     def test_empty_below_zero(self):
         assert spectrum(MINUS, D, -1.0) == []
+
+    @pytest.mark.parametrize("e_max, scan_step", [(1e9, 0.05), (1.0, 0.0),
+                                                   (1.0, -0.05)])
+    def test_grid_refused_before_any_work(self, e_max, scan_step):
+        with pytest.raises(DomainError, match="spectrum"):
+            spectrum(MINUS, D, e_max, scan_step=scan_step)
+
+    def test_coarse_grid_keeps_levels_sharing_a_cell(self):
+        # with scan_step=3 the cell (3, 6] holds the levels 3.74 and 5.21,
+        # which a sign test on the grid alone cannot see
+        fine = spectrum(MINUS, D, 8.0)
+        coarse = spectrum(MINUS, D, 8.0, scan_step=3.0)
+        assert len(coarse) == len(fine) == 5
+        for a, b in zip(coarse, fine):
+            assert abs(a.E - b.E) <= 1e-7
+
+    @pytest.mark.parametrize("profile, bc, expect", [
+        (MINUS, D, ["1.8937906742095958", "3.7352236270904484",
+                    "5.211244726181019", "6.50470318794249"]),
+        (MINUS, N, ["-4.76837158203125e-08", "2.7709591388702375",
+                    "4.436734724044792", "5.827843236923204"]),
+        (PLUS, D, ["2.7709591388702375", "4.436734724044792",
+                   "5.827843236923204"]),
+        (PLUS, N, ["1.8937906742095958", "3.7352236270904484",
+                   "5.211244726181019", "6.50470318794249"]),
+    ])
+    def test_level_bits_pinned(self, profile, bc, expect):
+        # each level is bisected from the same 0.05 grid cell as by a plain
+        # sign scan over that grid, so the bits must not move
+        assert [repr(s.E) for s in spectrum(profile, bc, 7.0)] == expect
+
+    def test_shot_count_pinned(self, monkeypatch):
+        # guards against work regressions: 15 count shots on the 93-point
+        # grid, then 22 bisection shots for each of the two levels
+        from branchedham import quantum
+        calls = []
+        real = quantum.shoot
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "shoot", counted)
+        assert len(spectrum(MINUS, D, 4.5)) == 2
+        assert len(calls) == 59
 
 
 class TestLadder:
