@@ -238,10 +238,14 @@ def _locate_root(g, ta, tb, ga, gb, iters: int = 80) -> float:
 
 
 class SampleCollector:
-    """Collects dense-output samples (state tuples) at prescribed, sorted times."""
+    """Collects dense-output samples (state tuples) at prescribed, sorted times.
 
-    def __init__(self, times: np.ndarray):
-        self.times = np.asarray(times, dtype=float)
+    The times are held as Python floats, so the interpolant evaluates on
+    floats and the samples are tuples of floats.
+    """
+
+    def __init__(self, times: Sequence[float]):
+        self.times: list[float] = np.asarray(times, dtype=float).tolist()
         self.values: list[tuple] = []
         self.taken: list[float] = []
         self._idx = 0

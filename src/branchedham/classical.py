@@ -259,7 +259,6 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
     next_ev = next(ev_iter, None)
     seg_branch = init.branch
     for tq, yv in zip(collector.taken, collector.values):
-        tq = float(tq)
         while next_ev is not None and tq >= next_ev.t:
             seg_branch = next_ev.to_branch
             next_ev = next(ev_iter, None)
@@ -347,7 +346,6 @@ def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
 
     samples = []
     for tq, yv in zip(collector.taken, collector.values):
-        tq = float(tq)
         xq, vq = float(yv[0]), float(yv[1])
         if vq == 1.0:
             samples.append(PhaseState(tq, xq, math.inf, BranchId.H_MINUS, vq))
@@ -597,7 +595,7 @@ def trajectory_to_json(traj: Trajectory, model, path) -> None:
                      st.branch.value] for st in traj.samples],
     }
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
+        json.dump(data, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

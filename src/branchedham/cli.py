@@ -17,7 +17,7 @@ Commands and what they emit (all datasets CSV/JSON, figures SVG):
 Flags override config fields.  Exit codes: 0 success, 2 config validation
 error, 1 computation error.  A run_report.json manifest lists every file
 produced.  Outputs are deterministic for a fixed config (floats are written
-with shortest round-trip repr).
+with shortest round-trip repr), and every JSON file is strict JSON.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ from .svg import PlotStyle, Series, render_svg
 __all__ = ["main", "run", "validate_config", "DEFAULT_CONFIGS"]
 
 _FORMATS = ("csv", "json", "svg")
+# deform kappas: phi0'(0) = -kappa^2, and the Robin check's h = 1e-5 stencil
+# reads 2e-3 at kappa = 100 and 22 at kappa = 1000
+_KAPPA_MAX = 100.0
+_GRID_N_MAX = 10 ** 6
 
 _COMMON_KEYS = {"command", "model", "output"}
 _KEYS_BY_COMMAND = {
@@ -64,7 +68,11 @@ DEFAULT_CONFIGS = {
 
 
 def validate_config(cfg: dict) -> dict:
-    """Full validation with field-path error messages; returns the config."""
+    """Full validation with field-path error messages; returns the config.
+
+    Classical start states are built, and checked, by `run` before it writes
+    anything, so each is built once.
+    """
     if not isinstance(cfg, dict):
         raise ValidationError("config: must be a JSON object")
     command = cfg.get("command")
@@ -77,9 +85,13 @@ def validate_config(cfg: dict) -> dict:
     out = cfg.get("output", {})
     if not isinstance(out, dict) or set(out) - {"directory", "formats"}:
         raise ValidationError("config.output: expects {directory, formats}")
-    for f in out.get("formats", []):
+    formats = out.get("formats", [])
+    if not isinstance(formats, list):
+        raise ValidationError(f"config.output.formats: must be a list of "
+                              f"format names, got {formats!r}")
+    for k, f in enumerate(formats):
         if f not in _FORMATS:
-            raise ValidationError(f"config.output.formats: unknown format {f!r}")
+            raise ValidationError(f"config.output.formats[{k}]: unknown format {f!r}")
 
     try:
         model = models.model_from_config(cfg.get("model", {"kind": "susy"}))
@@ -91,10 +103,7 @@ def validate_config(cfg: dict) -> dict:
     if command == "quantum":
         _validate_quantum(cfg)
     if command == "deform":
-        kappas = cfg.get("kappas", [])
-        if not isinstance(kappas, list) or not kappas or any(
-                not isinstance(k, (int, float)) or k < 0 for k in kappas):
-            raise ValidationError("config.kappas: must be a list of kappa >= 0")
+        _validate_deform(cfg)
     return cfg
 
 
@@ -107,11 +116,7 @@ def _validate_classical(cfg: dict, model) -> None:
     for key in ("tol", "t_max"):
         if key in cfg:
             _require_positive(cfg[key], f"config.{key}")
-    n_samples = cfg.get("n_samples", 2000)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) \
-            or n_samples < 1:
-        raise ValidationError(
-            f"config.n_samples: must be a positive integer, got {n_samples!r}")
+    _require_count(cfg.get("n_samples", 2000), "config.n_samples")
     trajectories = cfg.get("trajectories", [])
     if not isinstance(trajectories, list):
         raise ValidationError("config.trajectories: must be a list")
@@ -140,11 +145,6 @@ def _validate_classical(cfg: dict, model) -> None:
         if tr.get("branch") not in branches:
             raise ValidationError(f"{path}.branch: must be one of {branches} for "
                                   f"this model, got {tr.get('branch')!r}")
-        try:
-            classical.make_state(model, 0.0, float(tr["x"]), float(tr["p"]),
-                                 models.BranchId(tr["branch"]))
-        except BranchedHamError as exc:
-            raise ValidationError(f"{path}: bad start state: {exc}") from exc
 
 
 def _validate_quantum(cfg: dict) -> None:
@@ -181,6 +181,40 @@ def _validate_quantum(cfg: dict) -> None:
         if not cfg["p_max"] > e_top:
             raise ValidationError(f"config.p_max: must exceed {top_path}={e_top!r}, "
                                   f"got {cfg['p_max']!r}")
+    if cfg.get("profile") == "deformed_plus":
+        # U_kappa reads the G table; a bracket solve re-solves at 2 p_max to
+        # check the p_max doubling, a scan shoots to p_max
+        if cfg.get("p_max") is not None:
+            p_max, p_max_path = cfg["p_max"], "config.p_max"
+        else:
+            p_max, p_max_path = e_top + quantum._DEFAULT_MARGIN, top_path
+        reach = 2.0 * p_max if "bracket" in cfg else p_max
+        if reach > deformation._G_TABLE_PMAX:
+            raise ValidationError(
+                f"{p_max_path}: deformed_plus would shoot to p={reach!r} with "
+                f"p_max={p_max!r}, beyond the G table's {deformation._G_TABLE_PMAX}")
+
+
+def _validate_deform(cfg: dict) -> None:
+    kappas = cfg.get("kappas", [])
+    if not isinstance(kappas, list) or not kappas:
+        raise ValidationError("config.kappas: must be a non-empty list of numbers")
+    for k, kap in enumerate(kappas):
+        _require_finite(kap, f"config.kappas[{k}]")
+        if not 0 <= kap <= _KAPPA_MAX:
+            raise ValidationError(f"config.kappas[{k}]: must be in "
+                                  f"[0, {_KAPPA_MAX:g}], got {kap!r}")
+    grid = cfg.get("p_grid", {})
+    if not isinstance(grid, dict) or set(grid) - {"max", "n"}:
+        raise ValidationError(f"config.p_grid: must be an object with only "
+                              f"'max' and 'n', got {grid!r}")
+    if "n" in grid:
+        _require_count(grid["n"], "config.p_grid.n", _GRID_N_MAX)
+    if "max" in grid:
+        _require_positive(grid["max"], "config.p_grid.max")
+        if grid["max"] > deformation._G_TABLE_PMAX:
+            raise ValidationError(f"config.p_grid.max: must be <= the G table's "
+                                  f"{deformation._G_TABLE_PMAX}, got {grid['max']!r}")
 
 
 def _require_finite(v, path: str) -> None:
@@ -199,20 +233,50 @@ def _require_positive(v, path: str) -> None:
         raise ValidationError(f"{path}: must be > 0, got {v!r}")
 
 
+def _require_count(v, path: str, cap: int | None = None) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1 \
+            or (cap is not None and v > cap):
+        bound = f" no larger than {cap}" if cap is not None else ""
+        raise ValidationError(
+            f"{path}: must be a positive integer{bound}, got {v!r}")
+
+
+def _start_states(cfg: dict, model) -> list:
+    """The start state of each classical trajectory (None for an x_v one)."""
+    states = []
+    for k, tr in enumerate(cfg.get("trajectories", [])):
+        if "x_v" in tr:
+            states.append(None)
+            continue
+        try:
+            states.append(classical.make_state(model, 0.0, float(tr["x"]),
+                                               float(tr["p"]),
+                                               models.BranchId(tr["branch"])))
+        except BranchedHamError as exc:
+            raise ValidationError(
+                f"config.trajectories[{k}]: bad start state: {exc}") from exc
+    return states
+
+
 def run(cfg: dict, out_dir: str | Path, formats: tuple[str, ...] = ("csv", "json")) -> dict:
-    """Execute a validated config; returns the run report (also written)."""
+    """Execute a validated config; returns the run report (also written).
+
+    A classical start state that does not exist raises ValidationError
+    before any file is written.
+    """
     t0 = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     command = cfg["command"]
     model = models.model_from_config(cfg.get("model", {"kind": "susy"}))
+    starts = _start_states(cfg, model) if command == "classical" else []
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
     diagnostics: dict = {}
 
     if command == "branches":
         _run_branches(cfg, model, out, formats, manifest)
     elif command == "classical":
-        _run_classical(cfg, model, out, formats, manifest, diagnostics)
+        _run_classical(cfg, model, starts, out, formats, manifest, diagnostics)
     elif command == "quantum":
         _run_quantum(cfg, out, formats, manifest, diagnostics)
     elif command == "deform":
@@ -226,15 +290,9 @@ def run(cfg: dict, out_dir: str | Path, formats: tuple[str, ...] = ("csv", "json
         "diagnostics": diagnostics,
     }
     with open(out / "run_report.json", "w") as fh:
-        json.dump(report, fh, indent=1, default=_json_default)
+        json.dump(report, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return report
-
-
-def _json_default(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    raise TypeError(f"not JSON serializable: {v!r}")
 
 
 def _write(path: Path, text: str, manifest: list[str]) -> None:
@@ -301,7 +359,8 @@ def _run_branches(cfg, model, out, formats, manifest):
             {"branch": b, "p": p, "H": h} for b, p, h in rows_h]}
         if rows_k:
             data["kinetic_curve"] = [{"z": z, "kin": k} for z, k in rows_k]
-        _write(out / "branches.json", json.dumps(data, indent=1) + "\n", manifest)
+        _write(out / "branches.json",
+               json.dumps(data, indent=1, allow_nan=False) + "\n", manifest)
 
 
 def _branches_for(model):
@@ -310,7 +369,7 @@ def _branches_for(model):
     return (models.BranchId.H_MINUS, models.BranchId.H_PLUS)
 
 
-def _run_classical(cfg, model, out, formats, manifest, diagnostics):
+def _run_classical(cfg, model, starts, out, formats, manifest, diagnostics):
     energies = cfg.get("energies", [])
     all_series = []
     for e in energies:
@@ -342,11 +401,8 @@ def _run_classical(cfg, model, out, formats, manifest, diagnostics):
                 tuple(tr["x_v"]), t_max, tol,
                 n_samples=int(cfg.get("n_samples", 2000)))
         else:
-            branch = models.BranchId(tr["branch"])
-            init = classical.make_state(model, 0.0, float(tr["x"]),
-                                        float(tr["p"]), branch)
             traj = classical.integrate_branch_flow(
-                model, init, t_max, tol,
+                model, starts[k], t_max, tol,
                 n_samples=int(cfg.get("n_samples", 2000)))
         name = f"trajectory_{k}"
         if "csv" in formats:
@@ -436,7 +492,7 @@ def _run_deform(cfg, out, formats, manifest, diagnostics):
                manifest)
     if "json" in formats:
         _write(out / "deform_diagnostics.json",
-               json.dumps(per_kappa, indent=1) + "\n", manifest)
+               json.dumps(per_kappa, indent=1, allow_nan=False) + "\n", manifest)
     diagnostics.update(per_kappa)
 
 
@@ -492,11 +548,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(cfg, out_dir, formats)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BranchedHamError as exc:
         print(f"computation error [{cfg['command']}]: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({"files": report["files"],
-                      "wall_time_s": report["wall_time_s"]}, indent=1))
+                      "wall_time_s": report["wall_time_s"]}, indent=1,
+                     allow_nan=False))
     return 0
 
 

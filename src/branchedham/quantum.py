@@ -92,7 +92,7 @@ class BoundaryCondition:
             return 0.0, 1.0
         if self.kind == "neumann":
             return 1.0, 0.0
-        return 1.0, -self.kappa
+        return 1.0, -float(self.kappa)
 
 
 class LadderOperator(Enum):
@@ -126,6 +126,7 @@ class PotentialProfile:
     @staticmethod
     def deformed_plus(kappa: float,
                       deformation: DeformationProfile | None = None) -> "PotentialProfile":
+        kappa = float(kappa)
         prof = deformation or DeformationProfile(kappa)
         return PotentialProfile("deformed_plus", +1.0,
                                 shift0=deformed_shift_at_zero(kappa),
@@ -345,8 +346,8 @@ def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     exp(+(2/3)(p_max - E)^{3/2}); an overflow guard renormalizes psi on the
     way and records the accumulated scale.
     """
-    if p_max is None:
-        p_max = E + _DEFAULT_MARGIN
+    E = float(E)  # a numpy scalar here would slow every step of the loop
+    p_max = E + _DEFAULT_MARGIN if p_max is None else float(p_max)
     if p_max <= E:
         raise DomainError(f"shoot: p_max={p_max!r} must exceed E={E!r}")
     if tol <= 0.0:
@@ -427,8 +428,7 @@ def solve_eigenvalue(profile: PotentialProfile, bc: BoundaryCondition,
     e_lo, e_hi = float(bracket[0]), float(bracket[1])
     if not e_hi > e_lo:
         raise DomainError("solve_eigenvalue: need bracket[1] > bracket[0]")
-    if p_max is None:
-        p_max = e_hi + _DEFAULT_MARGIN
+    p_max = e_hi + _DEFAULT_MARGIN if p_max is None else float(p_max)
     e_star, width, _ = _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_E, p_max, tol)
     mismatch = shoot(profile, e_star, bc, p_max, tol).mismatch
 
@@ -656,5 +656,6 @@ def eigensolution_to_csv(sol: EigenSolution, path) -> None:
 
 def spectrum_to_json(sols: list[EigenSolution], path) -> None:
     with open(path, "w") as fh:
-        json.dump([eigensolution_header(s) for s in sols], fh, indent=1)
+        json.dump([eigensolution_header(s) for s in sols], fh, indent=1,
+                  allow_nan=False)
         fh.write("\n")

@@ -175,32 +175,43 @@ class ScaledGTable:
             raise DomainError("ScaledGTable: p_max must exceed 1")
         n = int(p_max * nodes_per_unit) + 1
         self.p_max = float(p_max)
-        self._h = p_max / (n - 1)
+        self._h = self.p_max / (n - 1)
         self._ps = np.linspace(0.0, p_max, n)
         self._g = scaled_g_many(self._ps)
         self._dg = 1.0 - 2.0 * np.sqrt(self._ps) * self._g
+        # float copies for `scalar`: indexing an array yields numpy scalars,
+        # which would carry numpy call overhead into every caller's arithmetic
+        self._g_list = self._g.tolist()
+        self._dg_list = self._dg.tolist()
+        self._i_last = n - 2
         # hand over from the series to the table exactly at a node, where the
         # Hermite interpolant is exact; a mid-interval seam would inject an
         # O(h^4) jump that difference quotients amplify
         self._cut = self._h * math.ceil(_G_SERIES_CUT / self._h)
 
     def scalar(self, p: float) -> float:
-        """Pure-Python evaluation; avoids array overhead in stepper loops."""
+        """Pure-Python evaluation on floats; for stepper loops.
+
+        Node i sits at i * h, which is exactly the linspace abscissa for every
+        node left of the last one (the tests check this).
+        """
         if p < 0.0 or p > self.p_max:
             raise DomainError(f"ScaledGTable: p={p!r} outside [0, {self.p_max}]")
         if p <= self._cut:
             return _g_series(p)
-        i = int(p / self._h)
-        if i >= len(self._ps) - 1:
-            i = len(self._ps) - 2
-        t = (p - self._ps[i]) / self._h
+        h = self._h
+        i = int(p / h)
+        if i > self._i_last:
+            i = self._i_last
+        t = (p - i * h) / h
         t1 = 1.0 - t
         h00 = (1.0 + 2.0 * t) * t1 * t1
         h10 = t * t1 * t1
         h01 = t * t * (3.0 - 2.0 * t)
         h11 = t * t * (t - 1.0)
-        return (h00 * self._g[i] + h10 * self._h * self._dg[i]
-                + h01 * self._g[i + 1] + h11 * self._h * self._dg[i + 1])
+        g, dg = self._g_list, self._dg_list
+        return (h00 * g[i] + h10 * h * dg[i]
+                + h01 * g[i + 1] + h11 * h * dg[i + 1])
 
     def __call__(self, p):
         p_arr = np.asarray(p, dtype=float)

@@ -95,6 +95,72 @@ class TestValidation:
                                                  fixture, change, path):
         assert_rejected(tmp_path, capsys, fixture, change, path)
 
+    @pytest.mark.parametrize("change, path", [
+        ({"kappas": [float("nan")]}, "config.kappas[0]"),
+        ({"kappas": [1.0, True]}, "config.kappas[1]"),
+        ({"kappas": [1e300]}, "config.kappas[0]"),
+        ({"kappas": [-0.5]}, "config.kappas[0]"),
+        ({"p_grid": [1, 2]}, "config.p_grid"),
+        ({"p_grid": {"max": 10.0, "n": 0}}, "config.p_grid.n"),
+        ({"p_grid": {"max": 10.0, "n": -5}}, "config.p_grid.n"),
+        ({"p_grid": {"max": 10.0, "n": 1001.0}}, "config.p_grid.n"),
+        ({"p_grid": {"max": 10.0, "n": 10 ** 6 + 1}}, "config.p_grid.n"),
+        ({"p_grid": {"max": -10.0, "n": 1001}}, "config.p_grid.max"),
+        ({"p_grid": {"max": 200.0, "n": 1001}}, "config.p_grid.max"),
+        ({"p_grid": {"max": 10.0, "n": 1001, "min": 0.0}}, "config.p_grid"),
+    ])
+    def test_deform_probe_exits_2_without_files(self, tmp_path, capsys,
+                                                change, path):
+        assert_rejected(tmp_path, capsys, "deform_profiles.json", change, path)
+
+    @pytest.mark.parametrize("fixture, change, path", [
+        # the p_max-doubling check shoots to 2 p_max, past the G table's 130
+        ("quantum_deformed.json", {"p_max": 70.0}, "config.p_max"),
+        ("quantum_deformed.json", {"bracket": [-0.5, 50.0]}, "config.bracket[1]"),
+        ("quantum_ground.json", {"output": {"formats": "csv"}},
+         "config.output.formats: must be a list"),
+        ("deform_profiles.json", {"output": {"formats": ["csv", 3]}},
+         "config.output.formats[1]"),
+    ])
+    def test_work_bound_and_formats_probe_exits_2_without_files(
+            self, tmp_path, capsys, fixture, change, path):
+        assert_rejected(tmp_path, capsys, fixture, change, path)
+
+    def test_deformed_scan_reach_probe_exits_2_without_files(self, tmp_path,
+                                                             capsys):
+        # a scan shoots to p_max = e_max + 25, past the G table's 130
+        cfg = load_fixture("quantum_deformed.json")
+        del cfg["bracket"]
+        cfg["e_max"] = 110.0
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["quantum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config.e_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deformed_reach_limit_is_inclusive(self):
+        cfg = dict(load_fixture("quantum_deformed.json"), p_max=65.0)
+        validate_config(cfg)
+
+    def test_validation_builds_no_start_state(self, monkeypatch):
+        # run builds each start state once, before it writes anything
+        from branchedham import classical
+
+        def fail(*args, **kwargs):
+            raise AssertionError("validate_config built a start state")
+
+        monkeypatch.setattr(classical, "make_state", fail)
+        validate_config(load_fixture("gaussian_portrait.json"))
+
+    def test_run_rejects_bad_start_state_before_writing(self, tmp_path):
+        cfg = dict(load_fixture("susy_portrait.json"), energies=[1.4],
+                   trajectories=[{"x": 0.0, "p": -1.0, "branch": "h_plus"}])
+        validate_config(cfg)
+        with pytest.raises(ValidationError, match=r"config\.trajectories\[0\]"):
+            run(cfg, tmp_path / "out", ("csv", "json"))
+        assert not (tmp_path / "out").exists()
+
     def test_rejected_config_produces_no_files(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"command": "branches", "oops": 1}))

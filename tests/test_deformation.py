@@ -137,6 +137,12 @@ class TestDeformedPotential:
         assert np.max(np.abs(deformed_potential(1e-8, ps2) - base2)) < 1e-6
         assert abs(deformed_potential(1e-8, 10.0) - (10.0 + 0.5 / math.sqrt(10.0))) > 0.1
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.715282, 1.0])
+    def test_scalar_potential_is_float(self, kappa):
+        prof = DeformationProfile(kappa)
+        for p in (1e-6, 0.01, 2.0, 129.5):
+            assert type(prof.potential_scalar(p)) is float
+
 
 class TestRiccati:
     def test_undeformed_point(self):

@@ -91,6 +91,13 @@ class TestSolveRk45:
         assert hexes(res.y) == ["0x1.cb3dc73260f68p-4"]
         assert (res.n_steps, len(times)) == (1078, 6481)
 
+    def test_collector_samples_are_floats(self):
+        coll = SampleCollector(np.linspace(0.0, 2.0, 9))
+        solve_rk45(osc_tuple, 0.0, [1.0, 0.0], 2.0, on_dense=coll)
+        assert len(coll.taken) == len(coll.values) == 9
+        assert all(type(t) is float for t in coll.taken)
+        assert all(type(v) is float for vals in coll.values for v in vals)
+
     def test_event_result(self):
         res = solve_rk45(osc_tuple, 0.0, [1.0, 0.0], 10.0, rtol=1e-9, atol=1e-12,
                          events=[Event(lambda t, y: y[0], -1)])

@@ -217,6 +217,56 @@ class TestSolveEigenvalue:
         assert 0.0 <= excited.diagnostics["bisection_width"] <= 1e-7
 
 
+class TestDeformedFloats:
+    """Deformed shots run on Python floats and keep the bits they had when
+    numpy scalars leaked into the stepper."""
+
+    @pytest.fixture(scope="class", params=[
+        (1.0, "5.7129401043187755e-08"),
+        (0.715282, "7.376501287570392e-08"),
+    ])
+    def solved(self, request):
+        from branchedham import quantum
+        kappa, defect = request.param
+        calls = []
+        real = quantum.shoot
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        quantum.shoot = counted
+        try:
+            sol = solve_eigenvalue(PotentialProfile.deformed_plus(kappa),
+                                   BoundaryCondition.robin(kappa), (-0.5, 0.5))
+        finally:
+            quantum.shoot = real
+        return sol, defect, len(calls)
+
+    def test_shot_mismatch_is_float(self):
+        res = shoot(PotentialProfile.deformed_plus(1.0), 0.1,
+                    BoundaryCondition.robin(1.0))
+        assert type(res.mismatch) is float
+
+    def test_diagnostics_are_floats(self, solved):
+        sol, _, _ = solved
+        assert type(sol.E) is float
+        for key, value in sol.diagnostics.items():
+            assert type(value) is float, key
+
+    def test_bits_pinned(self, solved):
+        sol, defect, _ = solved
+        assert repr(sol.E) == "2.9802322387695312e-08"
+        assert repr(sol.diagnostics["match_defect"]) == defect
+        assert repr(sol.diagnostics["pmax_doubling_shift"]) == "3.90625e-08"
+
+    def test_shot_count_pinned(self, solved):
+        # guards against work regressions: 2 + 24 bisection shots on the
+        # bracket, the mismatch shot, then 2 + 8 for the p_max-doubling check
+        _, _, n_shots = solved
+        assert n_shots == 37
+
+
 class TestSpectrum:
     def test_degenerate_ladders_with_flipped_bc(self):
         list_minus = spectrum(MINUS, D, 8.0)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from branchedham.deformation import shared_g_table
 from branchedham.errors import ConvergenceError, DomainError
 from branchedham.specfun import (ScaledGTable, WBranch, fd_derivative,
                                  lambert_w, quad, scaled_g, scaled_g_many)
@@ -110,6 +112,36 @@ class TestScaledG:
             scaled_g(-0.1)
         with pytest.raises(DomainError):
             ScaledGTable(p_max=40.0)(41.0)
+
+
+class TestScaledGTableFloats:
+    """The scalar path works on Python floats, so RK45 loops that call it
+    never carry numpy scalars; the vectorized path keeps its arrays."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return shared_g_table()
+
+    def test_scalar_returns_float(self, table):
+        for p in (0.01, table._cut, 0.5, 17.77, table.p_max):
+            assert type(table.scalar(p)) is float, p
+        assert type(table.scalar(int(table.p_max))) is float
+
+    def test_node_abscissa_is_index_times_step(self, table):
+        # scalar places node i at i * h; linspace computes i * step and sets
+        # the endpoint to p_max, so every node left of the last must agree
+        for tab in (table, ScaledGTable(p_max=40.0), ScaledGTable(p_max=60.5)):
+            ps = tab._ps.tolist()
+            h = tab._h
+            assert all(ps[i] == i * h for i in range(len(ps) - 1))
+
+    def test_table_bits_pinned(self, table):
+        # the G-table build samples dense output at float times; these are
+        # the bits of the build that sampled at numpy scalars
+        digest = hashlib.md5(table._g.tobytes() + table._dg.tobytes()).hexdigest()
+        assert digest == "7b7f0837169bea3cb7aca4dba6293185"
+        assert table._g_list == table._g.tolist()
+        assert table._dg_list == table._dg.tolist()
 
 
 class TestQuad:
