@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _ZERO_RESTART = 1e-16  # |p| used to restart an outer branch after a p=0 crossing
+_ESCAPE_BOUND = 1e6    # |x| or |v| beyond which a trajectory has escaped
 
 
 class Termination(Enum):
@@ -149,7 +150,7 @@ def _family_velocity_clamped(model: FamilyModel, p: float, branch: BranchId,
 
 def integrate_branch_flow(model, init: PhaseState, t_max: float,
                           tol: float = 1e-9, n_samples: int = 2000,
-                          escape_bound: float = 1e6) -> Trajectory:
+                          escape_bound: float = _ESCAPE_BOUND) -> Trajectory:
     """Integrate xdot = v(p, branch), pdot = -V'(x) with branch switching.
 
     The conserved H drifts by at most ~10*tol per unit time away from
@@ -313,7 +314,7 @@ def _branch_events(model, branch: BranchId) -> list[Event]:
 
 def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
                               tol: float = 1e-9, n_samples: int = 2000,
-                              escape_bound: float = 1e6) -> Trajectory:
+                              escape_bound: float = _ESCAPE_BOUND) -> Trajectory:
     """Integrate xdot = v, vdot = (9/C) x ((v-1)^5)^{1/3} for the SUSY model.
 
     v(0) = 1 stays exactly 1 (the special uniform solution); v > 1 blows up

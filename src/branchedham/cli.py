@@ -25,8 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -35,223 +37,226 @@ from . import classical, deformation, models, quantum
 from .errors import BranchedHamError, ValidationError
 from .svg import PlotStyle, Series, render_svg
 
-__all__ = ["main", "run", "validate_config", "DEFAULT_CONFIGS"]
+__all__ = ["main", "run", "validate_config", "DEFAULT_CONFIGS", "FIELDS"]
 
+_COMMANDS = ("branches", "classical", "deform", "quantum")
 _FORMATS = ("csv", "json", "svg")
+# caps that bound a run's work before it starts; README "Config schema" has
+# the timings behind them
+_N_POINTS_MAX = 10 ** 5
+_N_SAMPLES_MAX = 10 ** 5
+_T_MAX_MAX = 1000.0
+_LIST_MAX = 100         # energies, trajectories, kappas
+# a SUSY scan took 3.4 s at e_max 10 (7 levels), 29.5 s at 30 (35 levels)
+# and 155 s at 60 (99 levels); a bracket is held to the same energies
+_E_MAX_MAX = 60.0
+# psi's inward solve from p_max grows like exp((2/3)(p_max - E)^{3/2}), which
+# overflows once p_max - E passes ~104 (p_max 105 gave a NaN norm at E = 0)
+_P_MAX_MAX = 100.0
 # deform kappas: phi0'(0) = -kappa^2, and the Robin check's h = 1e-5 stencil
 # reads 2e-3 at kappa = 100 and 22 at kappa = 1000
 _KAPPA_MAX = 100.0
 _GRID_N_MAX = 10 ** 6
 
-_COMMON_KEYS = {"command", "model", "output"}
-_KEYS_BY_COMMAND = {
-    "branches": _COMMON_KEYS | {"n_points"},
-    "classical": _COMMON_KEYS | {"energies", "grid", "trajectories", "tol",
-                                 "t_max", "n_samples"},
-    "quantum": _COMMON_KEYS | {"profile", "kappa", "bc", "bracket", "e_max",
-                               "tol_e", "tol", "p_max"},
-    "deform": _COMMON_KEYS | {"kappas", "p_grid"},
-}
 
+# One row per config field: its path ("[]" is each list item), commands,
+# kind, inclusive bounds (of a number or a list's length), choices, whether it
+# is required, default and the flag that overrides it.  Kinds: "num" (finite,
+# non-bool), "pos" (num > 0), "int" (non-bool), "str", "list", "obj" and
+# "model" (models.model_from_config checks it); a trailing "?" admits null.
+Field = namedtuple("Field", "path commands kind lo hi choices required default flag",
+                   defaults=(-math.inf, math.inf, (), False, None, None))
+_C, _Q, _D = ("classical",), ("quantum",), ("deform",)
+FIELDS = (
+    Field("command", _COMMANDS, "str", choices=_COMMANDS, required=True),
+    Field("model", _COMMANDS, "model", default={"kind": "susy"}),
+    Field("output", _COMMANDS, "obj", default={}),
+    Field("output.directory", _COMMANDS, "str"),
+    Field("output.formats", _COMMANDS, "list", 0, len(_FORMATS), default=["csv", "json"]),
+    Field("output.formats[]", _COMMANDS, "str", choices=_FORMATS),
+    Field("n_points", ("branches",), "int", 1, _N_POINTS_MAX, default=801),
+    Field("energies", _C, "list", 0, _LIST_MAX, default=[]),
+    Field("energies[]", _C, "num"),
+    Field("trajectories", _C, "list", 0, _LIST_MAX, default=[]),
+    Field("trajectories[]", _C, "obj"),
+    Field("trajectories[].x", _C, "num"),
+    Field("trajectories[].p", _C, "num"),
+    Field("trajectories[].branch", _C, "str"),  # the model's branches
+    Field("trajectories[].x_v", _C, "list", 2, 2),
+    # a flow started beyond the escape bound never crosses it: x_v [1e9, 0.5]
+    # overflowed and [0, 1e9] wrote NaN
+    Field("trajectories[].x_v[]", _C, "num", -classical._ESCAPE_BOUND,
+          classical._ESCAPE_BOUND),
+    Field("trajectories[].t_max", _C, "pos", hi=_T_MAX_MAX),  # else t_max
+    Field("tol", _C, "pos", default=1e-9, flag="--tol"),
+    Field("t_max", _C, "pos", hi=_T_MAX_MAX, default=20.0),
+    Field("n_samples", _C, "int", 1, _N_SAMPLES_MAX, default=2000),
+    Field("profile", _Q, "str", choices=("susy_minus", "susy_plus",
+                                         "deformed_plus"), default="susy_minus"),
+    Field("kappa", _Q, "num", lo=0.0, default=0.0),
+    Field("bc", _Q, "str", choices=("dirichlet", "neumann", "robin"), default="neumann"),
+    Field("bracket", _Q, "list", 2, 2),
+    Field("bracket[]", _Q, "num", -_E_MAX_MAX, _E_MAX_MAX),
+    Field("e_max", _Q, "num", hi=_E_MAX_MAX),
+    # the p_max-doubling check re-bisects E* -/+ 50 tol_e: tol_e 1e9 shot at
+    # E = -5e10 and took 246 s
+    Field("tol_e", _Q, "pos", hi=1.0, default=1e-7, flag="--tol"),
+    Field("tol", _Q, "pos", default=1e-9),
+    Field("p_max", _Q, "pos?", hi=_P_MAX_MAX),  # defaults to E + 25
+    Field("kappas", _D, "list", 1, _LIST_MAX, required=True),
+    Field("kappas[]", _D, "num", 0.0, _KAPPA_MAX),
+    Field("p_grid", _D, "obj", default={}),
+    Field("p_grid.max", _D, "pos", hi=deformation._G_TABLE_PMAX, default=10.0),
+    Field("p_grid.n", _D, "int", 1, _GRID_N_MAX, default=1001),
+)
+_ROWS = {(command, f.path): f for f in FIELDS for command in f.commands}
+_ROOT = Field("", _COMMANDS, "obj")
+
+
+def _defaults(command: str, *paths: str) -> dict:
+    return {p.rpartition(".")[2]: _ROWS[command, p].default for p in paths}
+
+
+# the runs without --config: their inputs and the table defaults they echo
 DEFAULT_CONFIGS = {
     "branches": {"model": {"kind": "gaussian", "m": 1.0, "C": 1.0,
-                           "potential": {"kind": "zero"}}, "n_points": 801},
-    "classical": {"model": {"kind": "susy"},
+                           "potential": {"kind": "zero"}},
+                 **_defaults("branches", "n_points")},
+    "classical": {**_defaults("classical", "model"),
                   "energies": [-0.5, 0.0, 0.5, 1.0, 1.2, 1.4],
-                  "tol": 1e-9, "t_max": 20.0, "n_samples": 2000},
-    "quantum": {"model": {"kind": "susy"}, "profile": "susy_minus",
-                "bc": "neumann", "bracket": [-0.5, 0.5],
-                "tol_e": 1e-7, "tol": 1e-9},
-    "deform": {"model": {"kind": "susy"}, "kappas": [1.0, 0.5, 0.25, 0.125],
-               "p_grid": {"max": 10.0, "n": 1001}},
+                  **_defaults("classical", "tol", "t_max", "n_samples")},
+    "quantum": {**_defaults("quantum", "model", "profile", "bc"),
+                "bracket": [-0.5, 0.5], **_defaults("quantum", "tol_e", "tol")},
+    "deform": {**_defaults("deform", "model"), "kappas": [1.0, 0.5, 0.25, 0.125],
+               "p_grid": _defaults("deform", "p_grid.max", "p_grid.n")},
 }
+
+
+def _value(cfg: dict, path: str):
+    """The field at `path` of a validated config, or its default."""
+    row = _ROWS[cfg["command"], path]
+    *parents, key = path.split(".")
+    for part in parents:
+        cfg = cfg.get(part, {})
+    return cfg.get(key, row.default)
 
 
 def validate_config(cfg: dict) -> dict:
-    """Full validation with field-path error messages; returns the config.
+    """Check a config against FIELDS and the rules between fields; return it.
 
-    Classical start states are built, and checked, by `run` before it writes
-    anything, so each is built once.
+    Errors name the field path.  Classical start states are built, and
+    checked, by `run` before it writes anything, so each is built once.
     """
     if not isinstance(cfg, dict):
         raise ValidationError("config: must be a JSON object")
     command = cfg.get("command")
-    if command not in _KEYS_BY_COMMAND:
+    if command not in _COMMANDS:
         raise ValidationError(f"config.command: unknown command {command!r}")
-    extra = set(cfg) - _KEYS_BY_COMMAND[command]
-    if extra:
-        raise ValidationError(f"config: unknown fields {sorted(extra)}")
-
-    out = cfg.get("output", {})
-    if not isinstance(out, dict) or set(out) - {"directory", "formats"}:
-        raise ValidationError("config.output: expects {directory, formats}")
-    formats = out.get("formats", [])
-    if not isinstance(formats, list):
-        raise ValidationError(f"config.output.formats: must be a list of "
-                              f"format names, got {formats!r}")
-    for k, f in enumerate(formats):
-        if f not in _FORMATS:
-            raise ValidationError(f"config.output.formats[{k}]: unknown format {f!r}")
-
-    try:
-        model = models.model_from_config(cfg.get("model", {"kind": "susy"}))
-    except BranchedHamError as exc:
-        raise ValidationError(f"config.model: {exc}") from exc
-
+    _check(_ROOT, cfg, "config", command)
+    for f in FIELDS:
+        if f.required and command in f.commands and f.path not in cfg:
+            raise ValidationError(f"config.{f.path}: required")
     if command == "classical":
-        _validate_classical(cfg, model)
+        _check_trajectories(cfg)
     if command == "quantum":
-        _validate_quantum(cfg)
-    if command == "deform":
-        _validate_deform(cfg)
+        _check_energy_range(cfg)
     return cfg
 
 
-def _validate_classical(cfg: dict, model) -> None:
-    energies = cfg.get("energies", [])
-    if not isinstance(energies, list):
-        raise ValidationError("config.energies: must be a list of numbers")
-    for k, e in enumerate(energies):
-        _require_finite(e, f"config.energies[{k}]")
-    for key in ("tol", "t_max"):
-        if key in cfg:
-            _require_positive(cfg[key], f"config.{key}")
-    _require_count(cfg.get("n_samples", 2000), "config.n_samples")
-    trajectories = cfg.get("trajectories", [])
-    if not isinstance(trajectories, list):
-        raise ValidationError("config.trajectories: must be a list")
+def _check(row: Field, value, where: str, command: str) -> None:
+    kind = row.kind.rstrip("?")
+    if value is None and kind != row.kind:
+        return
+    if kind == "model":
+        try:
+            models.model_from_config(value)
+        except BranchedHamError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    elif kind == "obj":
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where}: must be an object, got {value!r}")
+        # list items ("[]") and nested paths (".") are no keys of their own
+        rows = {key: _ROWS.get((command, f"{row.path}.{key}".lstrip(".")))
+                if str(key).isidentifier() else None for key in value}
+        unknown = sorted(str(key) for key, r in rows.items() if r is None)
+        if unknown:
+            raise ValidationError(f"{where}: unknown fields {unknown}")
+        for key, item in value.items():
+            _check(rows[key], item, f"{where}.{key}", command)
+    elif kind == "list":
+        if not isinstance(value, list) or not row.lo <= len(value) <= row.hi:
+            raise ValidationError(f"{where}: must be a list of {row.lo} to {row.hi} "
+                                  f"items, got {reprlib.repr(value)}")
+        for k, item in enumerate(value):
+            _check(_ROWS[command, row.path + "[]"], item, f"{where}[{k}]", command)
+    elif kind == "str":
+        if not isinstance(value, str) or row.choices and value not in row.choices:
+            want = f"one of {list(row.choices)}" if row.choices else "a string"
+            raise ValidationError(f"{where}: must be {want}, got {value!r}")
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool) if kind == "int" \
+            else models.is_finite_number(value) and (kind == "num" or value > 0)
+        if not ok or not row.lo <= value <= row.hi:
+            noun = "an integer" if kind == "int" else "a finite number"
+            lo = "(0" if kind == "pos" else f"[{row.lo}"
+            raise ValidationError(f"{where}: must be {noun} in {lo}, {row.hi}], "
+                                  f"got {value!r}")
+
+
+def _check_trajectories(cfg: dict) -> None:
+    """Each trajectory has x_v (susy model only) or x, p and a model branch."""
+    model = models.model_from_config(_value(cfg, "model"))
     branches = sorted(b.value for b in _branches_for(model))
-    for k, tr in enumerate(trajectories):
+    for k, tr in enumerate(_value(cfg, "trajectories")):
         path = f"config.trajectories[{k}]"
-        allowed = {"x", "p", "branch", "t_max", "x_v"}
-        if not isinstance(tr, dict) or set(tr) - allowed:
-            raise ValidationError(f"{path}: bad fields")
-        if "t_max" in tr:
-            _require_positive(tr["t_max"], f"{path}.t_max")
         if "x_v" in tr:
-            xv = tr["x_v"]
-            if not isinstance(xv, list) or len(xv) != 2:
-                raise ValidationError(f"{path}.x_v: must be a pair [x, v]")
             if model != models.susy_model():
                 raise ValidationError(f"{path}.x_v: the (x, v) flow exists only "
                                       f"for the susy model")
-            for i, v in enumerate(xv):
-                _require_finite(v, f"{path}.x_v[{i}]")
             continue
         for key in ("x", "p"):
             if key not in tr:
                 raise ValidationError(f"{path}.{key}: required unless x_v is given")
-            _require_finite(tr[key], f"{path}.{key}")
         if tr.get("branch") not in branches:
             raise ValidationError(f"{path}.branch: must be one of {branches} for "
                                   f"this model, got {tr.get('branch')!r}")
 
 
-def _validate_quantum(cfg: dict) -> None:
-    if cfg.get("profile", "susy_minus") not in ("susy_minus", "susy_plus",
-                                                "deformed_plus"):
-        raise ValidationError("config.profile: unknown profile")
-    if cfg.get("bc", "neumann") not in ("dirichlet", "neumann", "robin"):
-        raise ValidationError("config.bc: unknown boundary condition")
-    if "bracket" not in cfg and "e_max" not in cfg:
-        raise ValidationError("config: quantum needs 'bracket' or 'e_max'")
-    for key in ("tol", "tol_e"):
-        if key in cfg:
-            _require_positive(cfg[key], f"config.{key}")
-    if "kappa" in cfg:
-        _require_finite(cfg["kappa"], "config.kappa")
-        if cfg["kappa"] < 0:
-            raise ValidationError(f"config.kappa: must be >= 0, got {cfg['kappa']!r}")
-    if "e_max" in cfg:
-        _require_finite(cfg["e_max"], "config.e_max")
+def _check_energy_range(cfg: dict) -> None:
+    """bracket (lo < hi) or e_max; p_max above it; deformed_plus in the G table."""
     if "bracket" in cfg:
-        bracket = cfg["bracket"]
-        if not isinstance(bracket, list) or len(bracket) != 2:
-            raise ValidationError("config.bracket: must be a pair [lo, hi]")
-        for i, v in enumerate(bracket):
-            _require_finite(v, f"config.bracket[{i}]")
-        if not bracket[0] < bracket[1]:
-            raise ValidationError(f"config.bracket: needs lo < hi, got {bracket!r}")
-        e_top, top_path = bracket[1], "config.bracket[1]"
-    else:
+        lo, hi = cfg["bracket"]
+        if not lo < hi:
+            raise ValidationError(f"config.bracket: needs lo < hi, got {[lo, hi]!r}")
+        e_top, top_path = hi, "config.bracket[1]"
+    elif "e_max" in cfg:
         e_top, top_path = cfg["e_max"], "config.e_max"
+    else:
+        raise ValidationError("config: quantum needs 'bracket' or 'e_max'")
     # the solver shoots at energies up to e_top, which needs p_max > E
-    if cfg.get("p_max") is not None:
-        _require_positive(cfg["p_max"], "config.p_max")
-        if not cfg["p_max"] > e_top:
-            raise ValidationError(f"config.p_max: must exceed {top_path}={e_top!r}, "
-                                  f"got {cfg['p_max']!r}")
-    if cfg.get("profile") == "deformed_plus":
-        # U_kappa reads the G table; a bracket solve re-solves at 2 p_max to
-        # check the p_max doubling, a scan shoots to p_max
-        if cfg.get("p_max") is not None:
-            p_max, p_max_path = cfg["p_max"], "config.p_max"
-        else:
-            p_max, p_max_path = e_top + quantum._DEFAULT_MARGIN, top_path
-        reach = 2.0 * p_max if "bracket" in cfg else p_max
-        if reach > deformation._G_TABLE_PMAX:
+    p_max = cfg.get("p_max")
+    if p_max is not None and not p_max > e_top:
+        raise ValidationError(f"config.p_max: must exceed {top_path}={e_top!r}, "
+                              f"got {p_max!r}")
+    if _value(cfg, "profile") == "deformed_plus" and "bracket" in cfg:
+        # U_kappa reads the G table, and a bracket solve re-solves at 2 p_max
+        # to check the p_max doubling (a scan shoots to p_max <= _P_MAX_MAX)
+        p_max_path = "config.p_max" if p_max is not None else top_path
+        p_max = p_max if p_max is not None else e_top + quantum._DEFAULT_MARGIN
+        if 2.0 * p_max > deformation._G_TABLE_PMAX:
             raise ValidationError(
-                f"{p_max_path}: deformed_plus would shoot to p={reach!r} with "
+                f"{p_max_path}: deformed_plus would shoot to p={2.0 * p_max!r} with "
                 f"p_max={p_max!r}, beyond the G table's {deformation._G_TABLE_PMAX}")
-
-
-def _validate_deform(cfg: dict) -> None:
-    kappas = cfg.get("kappas", [])
-    if not isinstance(kappas, list) or not kappas:
-        raise ValidationError("config.kappas: must be a non-empty list of numbers")
-    for k, kap in enumerate(kappas):
-        _require_finite(kap, f"config.kappas[{k}]")
-        if not 0 <= kap <= _KAPPA_MAX:
-            raise ValidationError(f"config.kappas[{k}]: must be in "
-                                  f"[0, {_KAPPA_MAX:g}], got {kap!r}")
-    grid = cfg.get("p_grid", {})
-    if not isinstance(grid, dict) or set(grid) - {"max", "n"}:
-        raise ValidationError(f"config.p_grid: must be an object with only "
-                              f"'max' and 'n', got {grid!r}")
-    if "n" in grid:
-        _require_count(grid["n"], "config.p_grid.n", _GRID_N_MAX)
-    if "max" in grid:
-        _require_positive(grid["max"], "config.p_grid.max")
-        if grid["max"] > deformation._G_TABLE_PMAX:
-            raise ValidationError(f"config.p_grid.max: must be <= the G table's "
-                                  f"{deformation._G_TABLE_PMAX}, got {grid['max']!r}")
-
-
-def _require_finite(v, path: str) -> None:
-    try:
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool) \
-            and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ValidationError(f"{path}: must be a finite number, got {v!r}")
-
-
-def _require_positive(v, path: str) -> None:
-    _require_finite(v, path)
-    if v <= 0:
-        raise ValidationError(f"{path}: must be > 0, got {v!r}")
-
-
-def _require_count(v, path: str, cap: int | None = None) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1 \
-            or (cap is not None and v > cap):
-        bound = f" no larger than {cap}" if cap is not None else ""
-        raise ValidationError(
-            f"{path}: must be a positive integer{bound}, got {v!r}")
 
 
 def _start_states(cfg: dict, model) -> list:
     """The start state of each classical trajectory (None for an x_v one)."""
     states = []
-    for k, tr in enumerate(cfg.get("trajectories", [])):
-        if "x_v" in tr:
-            states.append(None)
-            continue
+    for k, tr in enumerate(_value(cfg, "trajectories")):
         try:
-            states.append(classical.make_state(model, 0.0, float(tr["x"]),
-                                               float(tr["p"]),
-                                               models.BranchId(tr["branch"])))
+            states.append(None if "x_v" in tr else classical.make_state(
+                model, 0.0, float(tr["x"]), float(tr["p"]),
+                models.BranchId(tr["branch"])))
         except BranchedHamError as exc:
             raise ValidationError(
                 f"config.trajectories[{k}]: bad start state: {exc}") from exc
@@ -266,7 +271,7 @@ def run(cfg: dict, out_dir: str | Path, formats: tuple[str, ...] = ("csv", "json
     """
     t0 = time.perf_counter()
     command = cfg["command"]
-    model = models.model_from_config(cfg.get("model", {"kind": "susy"}))
+    model = models.model_from_config(_value(cfg, "model"))
     starts = _start_states(cfg, model) if command == "classical" else []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,7 +306,7 @@ def _write(path: Path, text: str, manifest: list[str]) -> None:
 
 
 def _run_branches(cfg, model, out, formats, manifest):
-    n = int(cfg.get("n_points", 801))
+    n = _value(cfg, "n_points")
     rows_k = []
     rows_h = []
     if isinstance(model, models.GaussianModel):
@@ -370,9 +375,8 @@ def _branches_for(model):
 
 
 def _run_classical(cfg, model, starts, out, formats, manifest, diagnostics):
-    energies = cfg.get("energies", [])
     all_series = []
-    for e in energies:
+    for e in _value(cfg, "energies"):
         lines_all = []
         for branch in _branches_for(model):
             lines = classical.energy_contour(model, float(e), branch)
@@ -393,17 +397,16 @@ def _run_classical(cfg, model, starts, out, formats, manifest, diagnostics):
                manifest)
 
     drifts = {}
-    for k, tr in enumerate(cfg.get("trajectories", [])):
-        t_max = float(tr.get("t_max", cfg.get("t_max", 20.0)))
-        tol = float(cfg.get("tol", 1e-9))
+    tol = float(_value(cfg, "tol"))
+    n_samples = _value(cfg, "n_samples")
+    for k, tr in enumerate(_value(cfg, "trajectories")):
+        t_max = float(tr.get("t_max", _value(cfg, "t_max")))
         if "x_v" in tr:
             traj = classical.integrate_lagrangian_flow(
-                tuple(tr["x_v"]), t_max, tol,
-                n_samples=int(cfg.get("n_samples", 2000)))
+                tuple(tr["x_v"]), t_max, tol, n_samples=n_samples)
         else:
             traj = classical.integrate_branch_flow(
-                model, starts[k], t_max, tol,
-                n_samples=int(cfg.get("n_samples", 2000)))
+                model, starts[k], t_max, tol, n_samples=n_samples)
         name = f"trajectory_{k}"
         if "csv" in formats:
             classical.trajectory_to_csv(traj, model, out / f"{name}.csv")
@@ -417,20 +420,20 @@ def _run_classical(cfg, model, starts, out, formats, manifest, diagnostics):
 
 
 def _run_quantum(cfg, out, formats, manifest, diagnostics):
-    kind = cfg.get("profile", "susy_minus")
-    kappa = float(cfg.get("kappa", 0.0))
+    kind = _value(cfg, "profile")
+    kappa = float(_value(cfg, "kappa"))
     if kind == "susy_minus":
         profile = quantum.PotentialProfile.susy_minus()
     elif kind == "susy_plus":
         profile = quantum.PotentialProfile.susy_plus()
     else:
         profile = quantum.PotentialProfile.deformed_plus(kappa)
-    bc_kind = cfg.get("bc", "neumann")
+    bc_kind = _value(cfg, "bc")
     bc = quantum.BoundaryCondition(bc_kind,
                                    kappa if bc_kind == "robin" else 0.0)
-    tol_e = float(cfg.get("tol_e", 1e-7))
-    tol = float(cfg.get("tol", 1e-9))
-    p_max = cfg.get("p_max")
+    tol_e = float(_value(cfg, "tol_e"))
+    tol = float(_value(cfg, "tol"))
+    p_max = _value(cfg, "p_max")
     p_max = float(p_max) if p_max is not None else None
 
     if "bracket" in cfg:
@@ -459,16 +462,14 @@ def _run_quantum(cfg, out, formats, manifest, diagnostics):
 
 
 def _run_deform(cfg, out, formats, manifest, diagnostics):
-    kappas = cfg.get("kappas", [1.0, 0.5, 0.25, 0.125])
-    gridspec = cfg.get("p_grid", {})
-    p_hi = float(gridspec.get("max", 10.0))
-    n = int(gridspec.get("n", 1001))
+    p_hi = float(_value(cfg, "p_grid.max"))
+    n = _value(cfg, "p_grid.n")
     ps = np.linspace(p_hi / n, p_hi, n)
     resid_grid = np.linspace(0.3, min(p_hi, 10.0), 3881)
     per_kappa = {}
     series_phi = []
     series_w = []
-    for kap in kappas:
+    for kap in cfg["kappas"]:
         prof = deformation.DeformationProfile(float(kap))
         name = f"deform_kappa_{_slug(kap)}"
         if "csv" in formats:
@@ -505,9 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="branchedham",
         description="Branched-Hamiltonian models: classical flows, "
                     "half-line spectra, isospectral deformations.")
-    ap.add_argument("command", choices=sorted(_KEYS_BY_COMMAND))
+    ap.add_argument("command", choices=_COMMANDS)
     ap.add_argument("--config", help="JSON run configuration")
-    ap.add_argument("--out", default="out", help="output directory")
+    ap.add_argument("--out", help="output directory (default: the config's "
+                                  "output.directory, else out)")
     ap.add_argument("--format", default=None,
                     help="comma-separated subset of csv,json,svg")
     ap.add_argument("--tol", type=float, default=None,
@@ -520,29 +522,25 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = json.load(fh)
         else:
             cfg = dict(DEFAULT_CONFIGS[ns.command])
-            cfg["command"] = ns.command
-        if "command" not in cfg:
-            cfg["command"] = ns.command
-        if cfg.get("command") != ns.command:
+        if not isinstance(cfg, dict):
+            raise ValidationError("config: must be a JSON object")
+        cfg.setdefault("command", ns.command)
+        if cfg["command"] != ns.command:
             raise ValidationError(
-                f"config.command={cfg.get('command')!r} does not match "
+                f"config.command={cfg['command']!r} does not match "
                 f"the command line ({ns.command})")
-        if ns.tol is not None:
-            if ns.command == "classical":
-                cfg["tol"] = ns.tol
-            elif ns.command == "quantum":
-                cfg["tol_e"] = ns.tol
-            # table commands (branches, deform) have no tolerance knob
+        for f in FIELDS:
+            if ns.tol is not None and f.flag == "--tol" \
+                    and ns.command in f.commands:
+                cfg[f.path] = ns.tol
         cfg = validate_config(cfg)
-        out_cfg = cfg.get("output", {})
-        out_dir = ns.out if ns.out != "out" or "directory" not in out_cfg \
-            else out_cfg["directory"]
-        formats = tuple(ns.format.split(",")) if ns.format else \
-            tuple(out_cfg.get("formats", ("csv", "json")))
+        out_dir = ns.out or _value(cfg, "output.directory") or "out"
+        formats = tuple(ns.format.split(",") if ns.format
+                        else _value(cfg, "output.formats"))
         for f in formats:
-            if f not in _FORMATS:
-                raise ValidationError(f"--format: unknown format {f!r}")
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+            _check(_ROWS[ns.command, "output.formats[]"], f, "--format", ns.command)
+    # a ValueError here is a config file that is not JSON or not UTF-8
+    except (ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

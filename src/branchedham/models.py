@@ -19,6 +19,7 @@ errors so integrators must decide explicitly what to do there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,7 @@ __all__ = [
     "gaussian_hamiltonian", "gaussian_cusps",
     "family_momentum", "family_velocity", "family_lagrangian",
     "family_hamiltonian", "susy_energy", "SUSY_C", "model_from_config",
+    "is_finite_number",
 ]
 
 
@@ -108,6 +110,11 @@ class GaussianModel:
         return math.sqrt(self.C / self.m)
 
 
+# L carries (v - 1)^{2k-1}, which overflows a double at the trajectories'
+# escape bound |v| = 1e6 once k > 26 (k = 10^9 overflowed H at p = 0.05)
+_K_MAX = 25
+
+
 @dataclass(frozen=True)
 class FamilyModel:
     """Odd-root family member; C is fixed by k."""
@@ -116,8 +123,10 @@ class FamilyModel:
     potential: Potential = field(default_factory=lambda: Potential("square"))
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise DomainError("FamilyModel: k must be a positive integer")
+        if not isinstance(self.k, int) or isinstance(self.k, bool) \
+                or not 1 <= self.k <= _K_MAX:
+            raise DomainError(f"FamilyModel: k must be an integer in [1, {_K_MAX}], "
+                              f"got {self.k!r}")
 
     @property
     def C(self) -> float:
@@ -290,38 +299,47 @@ def model_from_config(cfg: dict) -> GaussianModel | FamilyModel:
     potential: {"kind": "zero"} | {"kind": "square"}
              | {"kind": "harmonic_shifted", "c0": 1.0, "a": 1.0}
     """
-    if not isinstance(cfg, dict):
-        raise DomainError("model config must be a mapping")
-    kind = cfg.get("kind")
-    known = {"gaussian": {"kind", "m", "C", "potential"},
-             "family": {"kind", "k", "potential"},
-             "susy": {"kind"}}
-    if kind not in known:
-        raise DomainError(f"model config: unknown kind {kind!r}")
-    extra = set(cfg) - known[kind]
-    if extra:
-        raise DomainError(f"model config: unknown fields {sorted(extra)}")
+    kind = _kind(cfg, "model", None, {"gaussian": {"m", "C", "potential"},
+                                      "family": {"k", "potential"}, "susy": set()})
     if kind == "susy":
         return susy_model()
     pot = _potential_from_config(cfg.get("potential", {"kind": "zero"}))
     if kind == "gaussian":
-        return GaussianModel(m=float(cfg.get("m", 1.0)), C=float(cfg.get("C", 1.0)),
+        return GaussianModel(m=_number(cfg, "m", 1.0), C=_number(cfg, "C", 1.0),
                              potential=pot)
-    return FamilyModel(k=int(cfg.get("k", 1)), potential=pot)
+    return FamilyModel(k=cfg.get("k", 1), potential=pot)
 
 
 def _potential_from_config(cfg: dict) -> Potential:
-    if not isinstance(cfg, dict):
-        raise DomainError("potential config must be a mapping")
-    kind = cfg.get("kind", "zero")
-    allowed = {"zero": {"kind"}, "square": {"kind"},
-               "harmonic_shifted": {"kind", "c0", "a"}}
-    if kind not in allowed:
-        raise DomainError(f"potential config: unknown kind {kind!r}")
-    extra = set(cfg) - allowed[kind]
-    if extra:
-        raise DomainError(f"potential config: unknown fields {sorted(extra)}")
+    kind = _kind(cfg, "potential", "zero", {"zero": set(), "square": set(),
+                                            "harmonic_shifted": {"c0", "a"}})
     if kind == "harmonic_shifted":
-        return Potential("harmonic_shifted", c0=float(cfg.get("c0", 0.0)),
-                         a=float(cfg.get("a", 0.0)))
+        return Potential("harmonic_shifted", c0=_number(cfg, "c0", 0.0),
+                         a=_number(cfg, "a", 0.0))
     return Potential(kind)
+
+
+def _kind(cfg: dict, what: str, default: str | None, fields: dict) -> str:
+    """cfg's "kind", a key of `fields`, which lists the other keys it takes."""
+    if not isinstance(cfg, dict):
+        raise DomainError(f"{what} config must be a mapping")
+    kind = cfg.get("kind", default)
+    if not isinstance(kind, str) or kind not in fields:
+        raise DomainError(f"{what} config: unknown kind {kind!r}")
+    extra = set(cfg) - fields[kind] - {"kind"}
+    if extra:
+        raise DomainError(f"{what} config: unknown fields {sorted(extra)}")
+    return kind
+
+
+def is_finite_number(v) -> bool:
+    """True for an int or float, not a bool, within the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    v = cfg.get(key, default)
+    if not is_finite_number(v):
+        raise DomainError(f"model config: {key} must be a finite number, got {v!r}")
+    return float(v)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyDatasetError
+from .errors import DomainError, EmptyDatasetError
 
 __all__ = ["Series", "PlotStyle", "render_svg"]
 
@@ -81,6 +81,9 @@ def render_svg(series: Sequence[Series], style: PlotStyle | None = None) -> str:
     pad_y = 0.04 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):  # a tick step must register
+        if not 64 * math.ulp(max(abs(lo), abs(hi))) < hi - lo < math.inf:
+            raise DomainError(f"render_svg: cannot draw the range [{lo!r}, {hi!r}]")
 
     w, h, m = style.width, style.height, style.margin
 

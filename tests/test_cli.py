@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from branchedham.cli import DEFAULT_CONFIGS, main, run, validate_config
+from branchedham import cli
+from branchedham.cli import DEFAULT_CONFIGS, FIELDS, main, run, validate_config
 from branchedham.errors import EmptyDatasetError, ValidationError
 from branchedham.svg import PlotStyle, Series, render_svg
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def load_fixture(name):
@@ -58,6 +60,14 @@ class TestValidation:
         ({"n_samples": -5}, "config.n_samples"),
         ({"tol": "abc"}, "config.tol"),
         ({"energies": [0.8, float("nan")]}, "config.energies[1]"),
+        ({"n_samples": 10 ** 11}, "config.n_samples"),
+        ({"n_samples": 1.5}, "config.n_samples"),
+        ({"n_samples": 10 ** 5 + 1}, "config.n_samples"),
+        ({"t_max": 1001.0}, "config.t_max"),
+        ({"energies": [0.8] * 101}, "config.energies"),
+        ({"trajectories": [{"x": 0.7, "p": 0.0, "branch": "middle",
+                            "t_max": 1e9}]}, "config.trajectories[0].t_max"),
+        ({"grid": {"nx": -3}}, "config: unknown fields ['grid']"),
     ])
     def test_classical_probe_exits_2_without_files(self, tmp_path, capsys,
                                                    change, path):
@@ -76,6 +86,10 @@ class TestValidation:
         ({"model": {"kind": "susy"}, "energies": [1.4],
           "trajectories": [{"x": 0.0, "p": -1.0, "branch": "h_plus"}]},
          "config.trajectories[0]"),
+        ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [1e9, 0.5]}]},
+         "config.trajectories[0].x_v[0]"),
+        ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [0.0, 1e9]}]},
+         "config.trajectories[0].x_v[1]"),
     ])
     def test_classical_trajectory_probe_exits_2_without_files(
             self, tmp_path, capsys, change, path):
@@ -90,6 +104,13 @@ class TestValidation:
         ("quantum_deformed.json", {"e_max": float("nan")}, "config.e_max"),
         ("quantum_deformed.json", {"p_max": 0.1}, "config.p_max"),
         ("quantum_deformed.json", {"tol_e": -1}, "config.tol_e"),
+        ("quantum_excited.json", {"e_max": 3000}, "config.e_max"),
+        ("quantum_excited.json", {"e_max": 61}, "config.e_max"),
+        ("quantum_excited.json", {"bracket": [-1e9, 0.5]}, "config.bracket[0]"),
+        ("quantum_excited.json", {"bracket": [1.5, 1e6]}, "config.bracket[1]"),
+        ("quantum_excited.json", {"p_max": 105.0}, "config.p_max"),
+        ("quantum_ground.json", {"tol_e": 1e9}, "config.tol_e"),
+        ("quantum_ground.json", {"profile": ["susy_minus"]}, "config.profile"),
     ])
     def test_quantum_probe_exits_2_without_files(self, tmp_path, capsys,
                                                  fixture, change, path):
@@ -108,6 +129,8 @@ class TestValidation:
         ({"p_grid": {"max": -10.0, "n": 1001}}, "config.p_grid.max"),
         ({"p_grid": {"max": 200.0, "n": 1001}}, "config.p_grid.max"),
         ({"p_grid": {"max": 10.0, "n": 1001, "min": 0.0}}, "config.p_grid"),
+        ({"kappas": []}, "config.kappas"),
+        ({"kappas": [0.5] * 101}, "config.kappas"),
     ])
     def test_deform_probe_exits_2_without_files(self, tmp_path, capsys,
                                                 change, path):
@@ -121,6 +144,21 @@ class TestValidation:
          "config.output.formats: must be a list"),
         ("deform_profiles.json", {"output": {"formats": ["csv", 3]}},
          "config.output.formats[1]"),
+        ("gaussian_branches.json", {"n_points": -5}, "config.n_points"),
+        ("gaussian_branches.json", {"n_points": 1.5}, "config.n_points"),
+        ("gaussian_branches.json", {"n_points": 10 ** 8}, "config.n_points"),
+        ("gaussian_branches.json", {"output": {"directory": 5}},
+         "config.output.directory"),
+        ("gaussian_branches.json",
+         {"model": {"kind": "gaussian", "m": "abc"}}, "config.model"),
+        ("gaussian_branches.json",
+         {"model": {"kind": "gaussian",
+                    "potential": {"kind": "harmonic_shifted", "a": "x"}}},
+         "config.model"),
+        ("family_branches.json", {"model": {"kind": "family", "k": 1.5}},
+         "config.model"),
+        ("family_branches.json", {"model": {"kind": "family", "k": 10 ** 9}},
+         "config.model"),
     ])
     def test_work_bound_and_formats_probe_exits_2_without_files(
             self, tmp_path, capsys, fixture, change, path):
@@ -160,6 +198,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"config\.trajectories\[0\]"):
             run(cfg, tmp_path / "out", ("csv", "json"))
         assert not (tmp_path / "out").exists()
+
+    def test_deform_needs_kappas(self):
+        with pytest.raises(ValidationError, match=r"config\.kappas: required"):
+            validate_config({"command": "deform"})
+
+    def test_output_directory_under_default_out(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        for directory, code in ((5, 2), ("d", 0)):
+            cfg = dict(load_fixture("family_branches.json"),
+                       output={"directory": directory, "formats": ["csv"]})
+            Path("cfg.json").write_text(json.dumps(cfg))
+            assert main(["branches", "--config", "cfg.json"]) == code
+        assert "config.output.directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d"]
 
     def test_rejected_config_produces_no_files(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -244,6 +297,19 @@ class TestMain:
         cfg.write_text(json.dumps(load_fixture("quantum_ground.json")))
         assert main(["deform", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, key", [("classical", "tol"),
+                                              ("quantum", "tol_e")])
+    def test_tol_flag_sets_the_main_tolerance(self, monkeypatch, command, key):
+        seen = []
+
+        def fake_run(cfg, out_dir, formats):
+            seen.append(cfg)
+            return {"files": [], "wall_time_s": 0.0}
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert main([command, "--tol", "1e-5"]) == 0
+        assert seen[0][key] == 1e-5
+
     def test_bad_format_flag(self, tmp_path):
         assert main(["branches", "--out", str(tmp_path), "--format", "png"]) == 2
 
@@ -295,6 +361,29 @@ class TestRenderSvg:
 
 
 class TestDefaults:
+    def test_default_configs_pinned(self):
+        # echoed into run_report.json by a run without --config
+        assert json.dumps(DEFAULT_CONFIGS) == json.dumps({
+            "branches": {"model": {"kind": "gaussian", "m": 1.0, "C": 1.0,
+                                   "potential": {"kind": "zero"}},
+                         "n_points": 801},
+            "classical": {"model": {"kind": "susy"},
+                          "energies": [-0.5, 0.0, 0.5, 1.0, 1.2, 1.4],
+                          "tol": 1e-9, "t_max": 20.0, "n_samples": 2000},
+            "quantum": {"model": {"kind": "susy"}, "profile": "susy_minus",
+                        "bc": "neumann", "bracket": [-0.5, 0.5],
+                        "tol_e": 1e-7, "tol": 1e-9},
+            "deform": {"model": {"kind": "susy"},
+                       "kappas": [1.0, 0.5, 0.25, 0.125],
+                       "p_grid": {"max": 10.0, "n": 1001}},
+        })
+
+    def test_readme_schema_lists_every_field(self):
+        readme = (ROOT / "README.md").read_text()
+        schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        missing = [f.path for f in FIELDS if f"`{f.path}`" not in schema]
+        assert missing == []
+
     def test_default_configs_validate(self):
         for command, cfg in DEFAULT_CONFIGS.items():
             full = dict(cfg)

@@ -319,6 +319,25 @@ class TestPotentialAndConfig:
         with pytest.raises(DomainError):
             model_from_config({"kind": "susy", "potential": {"kind": "zero"}})
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "gaussian", "m": "abc"},
+        {"kind": "gaussian", "C": float("nan")},
+        {"kind": "gaussian", "m": True},
+        {"kind": "gaussian", "C": 10 ** 400},
+        {"kind": "gaussian", "potential": {"kind": "harmonic_shifted", "a": "x"}},
+        {"kind": "gaussian", "potential": {"kind": "harmonic_shifted",
+                                           "c0": float("inf")}},
+        {"kind": "family", "k": 1.5},
+        {"kind": "family", "k": True},
+        {"kind": "family", "k": "2"},
+        {"kind": "family", "k": 10 ** 9},
+        {"kind": ["susy"]},
+        {"kind": "family", "potential": {"kind": ["square"]}},
+    ])
+    def test_config_rejects_non_numbers(self, cfg):
+        with pytest.raises(DomainError):
+            model_from_config(cfg)
+
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             GaussianModel(m=-1.0)
