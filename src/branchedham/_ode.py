@@ -95,7 +95,6 @@ def solve_rk45(
     atol: float = 1e-12,
     events: Sequence[Event] = (),
     on_dense: Callable[[DenseSegment], None] | None = None,
-    max_step: float | None = None,
     first_step: float | None = None,
 ) -> OdeResult:
     """Integrate y' = f(t, y) from t0 to t1 (t1 may be below t0).
@@ -113,9 +112,7 @@ def solve_rk45(
     span = abs(t1 - t0)
     if span == 0.0:
         return OdeResult("reached", t0, np.array(y))
-    hmax = span if max_step is None else min(max_step, span)
-    h = first_step if first_step is not None else min(1e-3 * span + 1e-12, hmax)
-    h = min(h, hmax)
+    h = min(first_step if first_step is not None else 1e-3 * span + 1e-12, span)
     h_floor = 1e-13 * max(1.0, abs(t0), abs(t1))
 
     k1 = f(t, y)
@@ -125,7 +122,7 @@ def solve_rk45(
     n_reject_run = 0
 
     while direction * (t1 - t) > 0.0:
-        h = min(h, abs(t1 - t), hmax)
+        h = min(h, abs(t1 - t), span)
         if h < h_floor:
             h = h_floor
         hs = direction * h

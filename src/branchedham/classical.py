@@ -182,8 +182,7 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
         else 0.0
 
     if isinstance(model, GaussianModel):
-        def vfun(md, pp, br):
-            return _gaussian_velocity_clamped(md, pp, br)
+        vfun = _gaussian_velocity_clamped
     else:
         def vfun(md, pp, br):
             return _family_velocity_clamped(md, pp, br, p_floor)

@@ -191,10 +191,10 @@ class DeformationProfile:
     safe to call from multiple threads.
     """
 
-    def __init__(self, kappa: float, g_table: ScaledGTable | None = None):
+    def __init__(self, kappa: float):
         _check_kappa(kappa)
         self.kappa = float(kappa)
-        self.g_table = g_table or shared_g_table()
+        self.g_table = shared_g_table()
 
     def w(self, p):
         return superpotential_w(self.kappa, p, self.g_table)

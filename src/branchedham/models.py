@@ -228,6 +228,14 @@ def gaussian_cusps(model: GaussianModel, x: float) -> list[tuple[float, float]]:
 # odd-root family
 # ---------------------------------------------------------------------------
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent; DomainError where that overflows a double."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError(f"family: {base!r} ** {exponent!r} overflows") from None
+
+
 def _real_odd_root(y: float, n: int) -> float:
     """Real n-th root (n odd) with the sign of y."""
     return math.copysign(abs(y) ** (1.0 / n), y)
@@ -246,7 +254,7 @@ def family_velocity(model: FamilyModel, p: float, branch: BranchId) -> float:
     if p <= 0.0:
         raise DomainError(f"family: p={p!r} must be positive")
     k = model.k
-    step = 0.25 * p ** (-(2 * k + 1) / 2.0)
+    step = 0.25 * _power(p, -(2 * k + 1) / 2.0)
     if branch is BranchId.H_MINUS:
         return 1.0 + step
     if branch is BranchId.H_PLUS:
@@ -256,7 +264,7 @@ def family_velocity(model: FamilyModel, p: float, branch: BranchId) -> float:
 
 def family_lagrangian(model: FamilyModel, x: float, v: float) -> float:
     k = model.k
-    return model.C * _real_odd_root((v - 1.0) ** (2 * k - 1), 2 * k + 1) \
+    return model.C * _real_odd_root(_power(v - 1.0, 2 * k - 1), 2 * k + 1) \
         - model.potential(x)
 
 
@@ -266,7 +274,7 @@ def family_hamiltonian(model: FamilyModel, x: float, p: float,
     if p <= 0.0:
         raise DomainError(f"family: p={p!r} must be positive")
     k = model.k
-    term = p ** (-(2 * k - 1) / 2.0) / (4 * k - 2)
+    term = _power(p, -(2 * k - 1) / 2.0) / (4 * k - 2)
     if branch is BranchId.H_MINUS:
         return p - term + model.potential(x)
     if branch is BranchId.H_PLUS:

@@ -124,13 +124,11 @@ class PotentialProfile:
         return PotentialProfile("susy_plus", +1.0)
 
     @staticmethod
-    def deformed_plus(kappa: float,
-                      deformation: DeformationProfile | None = None) -> "PotentialProfile":
+    def deformed_plus(kappa: float) -> "PotentialProfile":
         kappa = float(kappa)
-        prof = deformation or DeformationProfile(kappa)
         return PotentialProfile("deformed_plus", +1.0,
                                 shift0=deformed_shift_at_zero(kappa),
-                                kappa=kappa, deformation=prof)
+                                kappa=kappa, deformation=DeformationProfile(kappa))
 
     def u(self, p: float) -> float:
         if self.kind == "susy_minus":
@@ -154,9 +152,6 @@ class ShootResult:
     n_rescale: int
     log_scale: float          # accumulated ln of the rescaling factors
     n_zeros: int              # sign changes of psi on (0, p_max]: N(E)
-    ps: np.ndarray | None = None
-    psi: np.ndarray | None = None
-    dpsi: np.ndarray | None = None
 
 
 @dataclass
@@ -172,9 +167,9 @@ class EigenSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _frobenius_init(profile: PotentialProfile, E: float, bc: BoundaryCondition,
-                    p0: float = _P_START, n_terms: int = 15) -> tuple[float, float]:
-    """Series values (psi, psi') at p0.
+def _frobenius_init(profile: PotentialProfile, E: float,
+                    bc: BoundaryCondition) -> tuple[float, float]:
+    """Series values (psi, psi') at p0 = _P_START.
 
     Coefficients a_n of psi = sum a_n p^{n/2} obey
     a_{m+4} = [ (s/2) a_{m+1} + a_{m-2} - E_eff a_m ] * 4 / ((m+4)(m+2)),
@@ -184,6 +179,7 @@ def _frobenius_init(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     """
     s = profile.sign
     e_eff = E - profile.shift0
+    p0, n_terms = _P_START, 15  # coefficients a_0 .. a_15
     a = [0.0] * (n_terms + 1)
     a[0], a[2] = bc.init_values()
     a[3] = (2.0 / 3.0) * s * a[0]
@@ -214,15 +210,15 @@ _E7 = -_B47
 
 def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
                       p_to: float, y: float, dy: float, rtol: float,
-                      grid: np.ndarray | None = None,
-                      allow_rescale: bool = True):
+                      grid: np.ndarray | None = None):
     """Adaptive RK45 for psi'' = (U - E) psi from p_from to p_to.
 
     Returns (psi, dpsi, runmax, n_rescale, log_scale, grid_psi, grid_dpsi,
     n_zeros), where n_zeros counts the sign changes of psi between accepted
     steps (rescaling divides by a positive number and keeps the sign).
     grid, when given, must be sorted in the direction of integration and lie
-    inside [p_from, p_to]; values are filled from the quartic dense output.
+    inside [p_from, p_to]; values are filled from the quartic dense output,
+    and psi is rescaled against overflow only when no grid is given.
     Scalar-pair state keeps this loop fast enough for eigenvalue bisection.
     """
     direction = 1.0 if p_to >= p_from else -1.0
@@ -318,9 +314,7 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
         ay = abs(y)
         if ay > runmax:
             runmax = ay
-        if ay > _RESCALE_LIMIT and allow_rescale:
-            if grid is not None:
-                raise ConvergenceError("rescaling while collecting grid values")
+        if ay > _RESCALE_LIMIT and grid is None:
             y /= runmax
             dy /= runmax
             f1y /= runmax
@@ -337,8 +331,7 @@ def _integrate_linear(u: Callable[[float], float], E: float, p_from: float,
 
 
 def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
-          p_max: float | None = None, tol: float = 1e-9,
-          n_out: int = 0) -> ShootResult:
+          p_max: float | None = None, tol: float = 1e-9) -> ShootResult:
     """Outward shot from the Frobenius start; mismatch = psi(p_max)/max|psi|.
 
     Sign changes of the mismatch in E bracket eigenvalues, and n_zeros
@@ -353,13 +346,9 @@ def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     if tol <= 0.0:
         raise DomainError("shoot: tol must be positive")
     y0, dy0 = _frobenius_init(profile, E, bc)
-    u = profile.u_callable()
-    grid = np.linspace(_P_START, p_max, n_out) if n_out else None
-    y, dy, runmax, n_rescale, log_scale, g_psi, g_dpsi, n_zeros = \
-        _integrate_linear(u, E, _P_START, p_max, y0, dy0, tol, grid=grid,
-                          allow_rescale=grid is None)
-    return ShootResult(y / runmax, p_max, n_rescale, log_scale, n_zeros,
-                       ps=grid, psi=g_psi, dpsi=g_dpsi)
+    y, dy, runmax, n_rescale, log_scale, _, _, n_zeros = \
+        _integrate_linear(profile.u_callable(), E, _P_START, p_max, y0, dy0, tol)
+    return ShootResult(y / runmax, p_max, n_rescale, log_scale, n_zeros)
 
 
 def _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_e, p_max, tol):
@@ -453,14 +442,13 @@ def solve_eigenvalue(profile: PotentialProfile, bc: BoundaryCondition,
 
     y0, dy0 = _frobenius_init(profile, e_star, bc)
     out = _integrate_linear(u, e_star, _P_START, p_match, y0, dy0, tol,
-                            grid=grid[:j + 1], allow_rescale=False)
+                            grid=grid[:j + 1])
     y_out, dy_out = out[0], out[1]
     psi_left, dpsi_left = out[5], out[6]
 
     dw = math.sqrt(max(u(p_max) - e_star, 1e-12))
     inn = _integrate_linear(u, e_star, p_max, p_match, 1.0, -dw, tol,
-                            grid=grid[::-1][: grid_size - j],
-                            allow_rescale=False)
+                            grid=grid[::-1][: grid_size - j])
     y_in, dy_in = inn[0], inn[1]
     psi_right = inn[5][::-1]
     dpsi_right = inn[6][::-1]
@@ -505,8 +493,7 @@ def _simpson(f: np.ndarray, x: np.ndarray) -> float:
 
 def spectrum(profile: PotentialProfile, bc: BoundaryCondition, E_max: float,
              tol_E: float = 1e-7, scan_step: float = 0.05,
-             p_max: float | None = None, tol: float = 1e-9,
-             check_doubling: bool = False) -> list[EigenSolution]:
+             p_max: float | None = None, tol: float = 1e-9) -> list[EigenSolution]:
     """All eigenvalues below E_max; ascending, no duplicates, complete.
 
     Levels are isolated on the energy grid -2 scan_step, -scan_step, ...,
@@ -545,8 +532,7 @@ def spectrum(profile: PotentialProfile, bc: BoundaryCondition, E_max: float,
         # (e_lo, e_hi] holds n_hi - n_lo >= 1 levels
         if n_hi - n_lo == 1:
             sol = solve_eigenvalue(profile, bc, (e_lo, e_hi), tol_E,
-                                   p_max=p_max, tol=tol,
-                                   check_doubling=check_doubling)
+                                   p_max=p_max, tol=tol, check_doubling=False)
             if not found or abs(sol.E - found[-1].E) > tol_E:
                 found.append(sol)
             return

@@ -4,7 +4,8 @@
   branch bookkeeping of the velocity inversion stays explicit),
 * the scaled exponential integral G(p) = e^{-4p^{3/2}/3} int_0^p e^{4s^{3/2}/3} ds,
   evaluated without ever forming the unscaled exponential (it overflows a
-  double near p ~ 45),
+  double near p ~ 45), and a table of it built by one ODE sweep, whose
+  scalar and array lookups share one formula and give equal bits,
 * adaptive Gauss-Kronrod quadrature with a rational substitution for
   semi-infinite upper limits,
 * central finite-difference stencils.
@@ -24,7 +25,7 @@ from ._ode import SampleCollector, solve_rk45
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "WBranch", "lambert_w", "scaled_g", "scaled_g_many", "ScaledGTable",
+    "WBranch", "lambert_w", "scaled_g", "ScaledGTable",
     "quad", "fd_derivative",
 ]
 
@@ -112,6 +113,7 @@ def _branch_point_series(x: float, sgn: float) -> float:
 
 # Small-p series: G = p - (4/5)p^{5/2} + (2/5)p^4 - (8/55)p^{11/2} + (16/385)p^7
 _G_SERIES_CUT = 0.05
+_NODES_PER_UNIT = 256  # ScaledGTable node density
 
 
 def _g_series(p: float) -> float:
@@ -141,43 +143,32 @@ def scaled_g(p: float, tol: float = 1e-10) -> float:
     return float(res.y[0])
 
 
-def scaled_g_many(ps: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """G at an ascending array of points, via one integration sweep."""
-    ps = np.asarray(ps, dtype=float)
-    if ps.ndim != 1 or np.any(np.diff(ps) < 0.0) or (ps.size and ps[0] < 0.0):
-        raise DomainError("scaled_g_many: need an ascending array of p >= 0")
-    out = np.empty_like(ps)
-    small = ps <= _G_SERIES_CUT
-    out[small] = [_g_series(p) for p in ps[small]]
-    rest = np.where(~small)[0]
-    if rest.size:
-        coll = SampleCollector(ps[rest])
-        solve_rk45(_g_rhs, _G_SERIES_CUT, [_g_series(_G_SERIES_CUT)], float(ps[rest][-1]),
-                   rtol=0.1 * tol, atol=1e-16, on_dense=coll)
-        vals = np.array([v[0] for v in coll.values])
-        if vals.size != rest.size:  # rounding can drop points at segment seams
-            tail = np.array([scaled_g(float(p), tol) for p in ps[rest][vals.size:]])
-            vals = np.concatenate([vals, tail])
-        out[rest] = vals
-    return out
-
-
 class ScaledGTable:
     """Immutable cubic-Hermite table of G on [0, p_max]; thread-safe reads.
 
-    Node derivatives come from the defining ODE (G' = 1 - 2 sqrt(p) G), so
-    interpolation is O(h^4) accurate; below the series cutoff the series is
-    used directly.
+    The series fills the nodes up to its cutoff and one RK45 sweep of
+    G' = 1 - 2 sqrt(p) G, read off its dense output, fills the rest; node
+    derivatives come from the same ODE, so interpolation is O(h^4) accurate.
+    `__call__` is `scalar` transcribed elementwise: both give equal bits.
     """
 
-    def __init__(self, p_max: float = 60.0, nodes_per_unit: int = 256):
+    def __init__(self, p_max: float = 60.0):
         if p_max <= 1.0:
             raise DomainError("ScaledGTable: p_max must exceed 1")
-        n = int(p_max * nodes_per_unit) + 1
+        n = int(p_max * _NODES_PER_UNIT) + 1
         self.p_max = float(p_max)
         self._h = self.p_max / (n - 1)
         self._ps = np.linspace(0.0, p_max, n)
-        self._g = scaled_g_many(self._ps)
+        # the sweep ends at the last node and its dense segments tile
+        # [cutoff, p_max], so the collector takes every node above the cutoff;
+        # rtol 0.1 * 1e-10 is one ulp above 1e-11, and the table bits keep it
+        small = self._ps <= _G_SERIES_CUT
+        coll = SampleCollector(self._ps[~small])
+        solve_rk45(_g_rhs, _G_SERIES_CUT, [_g_series(_G_SERIES_CUT)], self.p_max,
+                   rtol=0.1 * 1e-10, atol=1e-16, on_dense=coll)
+        self._g = np.array([_g_series(p) for p in self._ps[small].tolist()]
+                           + [v[0] for v in coll.values])
+        del coll  # its samples go before the float lists below are made
         self._dg = 1.0 - 2.0 * np.sqrt(self._ps) * self._g
         # float copies for `scalar`: indexing an array yields numpy scalars,
         # which would carry numpy call overhead into every caller's arithmetic
@@ -221,19 +212,19 @@ class ScaledGTable:
         p_arr = np.atleast_1d(p_arr)
         out = np.empty_like(p_arr)
         small = p_arr <= self._cut
-        if np.any(small):
-            out[small] = [_g_series(v) for v in p_arr[small]]
-        big = ~small
-        if np.any(big):
-            pb = p_arr[big]
-            i = np.minimum((pb / self._h).astype(int), len(self._ps) - 2)
-            t = (pb - self._ps[i]) / self._h
-            h00 = (1 + 2 * t) * (1 - t) ** 2
-            h10 = t * (1 - t) ** 2
-            h01 = t * t * (3 - 2 * t)
-            h11 = t * t * (t - 1)
-            out[big] = (h00 * self._g[i] + h10 * self._h * self._dg[i]
-                        + h01 * self._g[i + 1] + h11 * self._h * self._dg[i + 1])
+        # the series on Python floats, as numpy's array power rounds differently
+        out[small] = [_g_series(v) for v in p_arr[small].tolist()]
+        h = self._h
+        pb = p_arr[~small]
+        i = np.minimum((pb / h).astype(int), self._i_last)
+        t = (pb - i * h) / h
+        t1 = 1.0 - t
+        h00 = (1.0 + 2.0 * t) * t1 * t1
+        h10 = t * t1 * t1
+        h01 = t * t * (3.0 - 2.0 * t)
+        h11 = t * t * (t - 1.0)
+        out[~small] = (h00 * self._g[i] + h10 * h * self._dg[i]
+                       + h01 * self._g[i + 1] + h11 * h * self._dg[i + 1])
         return float(out[0]) if scalar else out
 
 

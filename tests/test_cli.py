@@ -90,6 +90,13 @@ class TestValidation:
          "config.trajectories[0].x_v[0]"),
         ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [0.0, 1e9]}]},
          "config.trajectories[0].x_v[1]"),
+        # p^(-(2k+1)/2) and p^(-(2k-1)/2) overflow a double at tiny momenta
+        ({"model": {"kind": "susy"},
+          "trajectories": [{"x": 0.2, "p": 1e-300, "branch": "h_plus"}]},
+         "config.trajectories[0]"),
+        ({"model": {"kind": "family", "k": 25, "potential": {"kind": "square"}},
+          "trajectories": [{"x": 0.2, "p": 1e-13, "branch": "h_minus"}]},
+         "config.trajectories[0]"),
     ])
     def test_classical_trajectory_probe_exits_2_without_files(
             self, tmp_path, capsys, change, path):

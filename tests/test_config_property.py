@@ -2,9 +2,10 @@
 
 Each example takes a cheap, valid base config of a command, replaces one
 of its fields (at any depth) by a value from a pool of wrong types, bools,
-non-finite numbers, signs, out-of-range sizes, lists and objects, and runs
-`main` in process.  Whatever the value, the run exits 0, 1 or 2, prints no
-traceback, leaves no files when it exits 2, and writes only strict JSON.
+non-finite numbers, signs, out-of-range and tiny sizes, lists and objects,
+and runs `main` in process.  Whatever the value, the run exits 0, 1 or 2,
+prints no traceback, leaves no files when it exits 2, and writes only strict
+JSON.
 """
 
 import contextlib
@@ -42,7 +43,7 @@ BASES = [
      "p_grid": {"max": 5.0, "n": 11}, "output": _OUT},
 ]
 POOL = ["abc", True, math.nan, math.inf, -math.inf, 0, -1, 10 ** 9, 1e300,
-        [1, 2], {"a": 1}]
+        1e-300, 5e-324, [1, 2], {"a": 1}]
 
 
 def _paths(node, prefix=()):

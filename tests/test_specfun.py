@@ -8,7 +8,7 @@ from scipy.integrate import quad as scipy_quad
 from branchedham.deformation import shared_g_table
 from branchedham.errors import ConvergenceError, DomainError
 from branchedham.specfun import (ScaledGTable, WBranch, fd_derivative,
-                                 lambert_w, quad, scaled_g, scaled_g_many)
+                                 lambert_w, quad, scaled_g)
 
 INV_E = math.exp(-1.0)
 
@@ -95,7 +95,7 @@ class TestScaledG:
 
     def test_many_matches_scalar(self):
         ps = np.array([0.0, 0.01, 0.3, 2.0, 7.5, 30.0])
-        vals = scaled_g_many(ps)
+        vals = ScaledGTable(p_max=40.0)(ps)
         for p, v in zip(ps, vals):
             assert v == pytest.approx(scaled_g(float(p)), rel=1e-9, abs=1e-15)
 
@@ -134,6 +134,19 @@ class TestScaledGTableFloats:
             ps = tab._ps.tolist()
             h = tab._h
             assert all(ps[i] == i * h for i in range(len(ps) - 1))
+
+    def test_vector_equals_scalar_bits(self, table):
+        # __call__ transcribes scalar elementwise: equal bits at every node,
+        # across the series/table hand-over, at p_max and at random points
+        rng = np.random.default_rng(20131)
+        for tab in (table, ScaledGTable(p_max=40.0), ScaledGTable(p_max=60.5)):
+            cut = tab._cut
+            ps = np.concatenate([tab._ps, [cut, np.nextafter(cut, np.inf), tab.p_max],
+                                 rng.uniform(0.0, tab.p_max, 250_000)])
+            vector = tab(ps)
+            scalar = np.array([tab.scalar(p) for p in ps.tolist()])
+            assert vector.tobytes() == scalar.tobytes(), tab.p_max
+            assert tab(3.3333) == tab.scalar(3.3333)
 
     def test_table_bits_pinned(self, table):
         # the G-table build samples dense output at float times; these are
