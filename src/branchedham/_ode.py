@@ -48,11 +48,11 @@ class Event:
     """Terminal event: root of ``g(t, y)`` crossed in the given direction.
 
     direction: +1 fires on negative-to-positive crossings, -1 on the
-    opposite, 0 on any sign change.
+    opposite.
     """
 
     g: Callable[[float, tuple], float]
-    direction: int = 0
+    direction: int
 
 
 class DenseSegment:
@@ -156,7 +156,7 @@ def solve_rk45(
         err = math.sqrt(acc / n)
 
         forced = False
-        if err > 1.0:
+        if not err <= 1.0:  # NaN too: a stage overflowed
             if h <= h_floor * 1.0001 or n_reject_run > 40:
                 forced = True  # cusp-grade singularity: accept; events cut the step
             else:
@@ -185,10 +185,8 @@ def solve_rk45(
             g_old = g_prev[i]
             if ev.direction > 0:
                 crossed = g_old < 0.0 <= g_new
-            elif ev.direction < 0:
-                crossed = g_old > 0.0 >= g_new
             else:
-                crossed = (g_old * g_new < 0.0) or (g_old != 0.0 and g_new == 0.0)
+                crossed = g_old > 0.0 >= g_new
             if crossed:
                 tr = _locate_root(lambda tt: ev.g(tt, seg(tt)), t, t_new, g_old, g_new)
                 if t_hit is None or direction * (tr - t_hit) < 0.0:
@@ -214,13 +212,11 @@ def solve_rk45(
     return OdeResult("reached", t, np.array(y), None, n_steps, n_forced)
 
 
-def _locate_root(g, ta, tb, ga, gb, iters: int = 80) -> float:
-    """Bisection for the event time on the dense interpolant."""
-    if ga == 0.0:
-        return ta
+def _locate_root(g, ta, tb, ga, gb) -> float:
+    """Bisection for the event time on the dense interpolant (ga != 0)."""
     if gb == 0.0:
         return tb
-    for _ in range(iters):
+    for _ in range(80):
         tm = 0.5 * (ta + tb)
         if tm == ta or tm == tb:
             break

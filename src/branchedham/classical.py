@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from ._ode import Event, SampleCollector, solve_rk45
-from .errors import (BelowThresholdError, DomainError, NoOrbitError,
-                     SingularInputError)
+from .errors import (BelowThresholdError, ConvergenceError, DomainError,
+                     NoOrbitError)
 from .models import (SUSY_C, BranchId, FamilyModel, GaussianModel,
                      family_hamiltonian, family_momentum, family_velocity,
                      gaussian_hamiltonian, gaussian_velocity, susy_energy,
@@ -51,12 +51,12 @@ __all__ = [
 
 _ZERO_RESTART = 1e-16  # |p| used to restart an outer branch after a p=0 crossing
 _ESCAPE_BOUND = 1e6    # |x| or |v| beyond which a trajectory has escaped
+_MAX_SWITCHES = 10000  # branch switches a trajectory may make before t_max
 
 
 class Termination(Enum):
     TIME_LIMIT = "time_limit"
     ESCAPE_TO_INFINITY = "escape_to_infinity"
-    SINGULAR_POINT = "singular_point"
 
 
 class OrbitClass(Enum):
@@ -141,13 +141,6 @@ def _gaussian_velocity_clamped(model: GaussianModel, p: float, branch: BranchId)
     return gaussian_velocity(model, pp, branch)
 
 
-def _family_velocity_clamped(model: FamilyModel, p: float, branch: BranchId,
-                             p_floor: float) -> float:
-    # Stages can overshoot p -> 0+ during the finite-time blowup; the escape
-    # event at p_floor terminates before any accepted state gets there.
-    return family_velocity(model, max(p, 0.5 * p_floor), branch)
-
-
 def integrate_branch_flow(model, init: PhaseState, t_max: float,
                           tol: float = 1e-9, n_samples: int = 2000,
                           escape_bound: float = _ESCAPE_BOUND) -> Trajectory:
@@ -157,6 +150,7 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
     switch events; each located switch keeps H continuous to event-location
     accuracy.  Escape (|x| or |v| beyond escape_bound) terminates family
     trajectories with the reached time as a lower bound on the escape time.
+    More than _MAX_SWITCHES branch switches raise ConvergenceError.
     """
     if isinstance(model, GaussianModel):
         if not init.branch.is_gaussian:
@@ -185,7 +179,9 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
         vfun = _gaussian_velocity_clamped
     else:
         def vfun(md, pp, br):
-            return _family_velocity_clamped(md, pp, br, p_floor)
+            # stages can overshoot p -> 0+ during the finite-time blowup; the
+            # escape event at p_floor ends the flow before a state gets there
+            return family_velocity(md, max(pp, 0.5 * p_floor), br)
 
     collector = SampleCollector(sample_times)
 
@@ -195,8 +191,7 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
     def g_p_floor(tt, y):
         return y[1] - p_floor
 
-    max_switches = 10000
-    while t < t_end and len(events_out) < max_switches:
+    while t < t_end:
         cur_branch = branch
 
         def rhs(tt, y):
@@ -223,6 +218,10 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
             break
 
         # a branch event fired: work out the transition
+        if len(events_out) == _MAX_SWITCHES:
+            raise ConvergenceError(
+                f"integrate_branch_flow: more than {_MAX_SWITCHES} branch "
+                f"switches, the next at t={t!r} before the end time {t_end!r}")
         pc = model.p_cusp
         if abs(abs(p) - pc) < 1e-9:
             # cusp bounce: reflect p, swap branch family; H and |v| continuous
@@ -274,7 +273,7 @@ def integrate_branch_flow(model, init: PhaseState, t_max: float,
         try:
             st = make_state(model, tq, xq, pq, seg_branch)
             drift = max(drift, abs(_hamiltonian(model, xq, pq, seg_branch) - h0))
-        except (DomainError, SingularInputError):
+        except DomainError:
             st = PhaseState(tq, xq, pq, seg_branch, float("nan"))
         samples.append(st)
 
@@ -312,8 +311,7 @@ def _branch_events(model, branch: BranchId) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
-                              tol: float = 1e-9, n_samples: int = 2000,
-                              escape_bound: float = _ESCAPE_BOUND) -> Trajectory:
+                              tol: float = 1e-9, n_samples: int = 2000) -> Trajectory:
     """Integrate xdot = v, vdot = (9/C) x ((v-1)^5)^{1/3} for the SUSY model.
 
     v(0) = 1 stays exactly 1 (the special uniform solution); v > 1 blows up
@@ -326,7 +324,10 @@ def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
 
     def rhs(tt, y):
         dv = y[1] - 1.0
-        return (y[1], coef * y[0] * math.copysign(abs(dv) ** (5.0 / 3.0), dv))
+        try:
+            return (y[1], coef * y[0] * math.copysign(abs(dv) ** (5.0 / 3.0), dv))
+        except OverflowError:  # a trial stage far beyond the escape bound
+            return (y[1], math.copysign(math.inf, y[0] * dv))
 
     escape = {"hit": False, "t": None}
     collector = SampleCollector(np.linspace(0.0, t_max, n_samples))
@@ -334,12 +335,12 @@ def integrate_lagrangian_flow(init_xv: tuple[float, float], t_max: float,
     def on_dense(seg):
         collector(seg)
         yv = seg(seg.t1)
-        if abs(yv[0]) > escape_bound or abs(yv[1]) > escape_bound:
+        if abs(yv[0]) > _ESCAPE_BOUND or abs(yv[1]) > _ESCAPE_BOUND:
             escape["hit"] = True
             escape["t"] = seg.t1
 
     def g_escape(tt, y):
-        return max(abs(y[0]), abs(y[1])) - escape_bound
+        return max(abs(y[0]), abs(y[1])) - _ESCAPE_BOUND
 
     res = solve_rk45(rhs, 0.0, [x0, v0], t_max, rtol=tol, atol=1e-12,
                      events=[Event(g_escape, +1)], on_dense=on_dense)
@@ -462,7 +463,7 @@ def energy_contour(model, E: float, branch: BranchId,
         try:
             kin = _hamiltonian(model, 0.0, float(pv), branch) \
                 - model.potential(0.0)
-        except (DomainError, SingularInputError):
+        except DomainError:
             continue
         h[:, j] = kin + vx
     return _marching_squares(xs, ps, h, E)
@@ -573,7 +574,7 @@ def trajectory_to_csv(traj: Trajectory, model, path) -> None:
             try:
                 hval = _hamiltonian(model, st.x, st.p, st.branch) \
                     if math.isfinite(st.p) else math.inf
-            except (DomainError, SingularInputError):
+            except DomainError:
                 hval = math.nan
             w.writerow([repr(st.t), repr(st.x), repr(st.p), repr(st.v),
                         st.branch.value, repr(hval)])

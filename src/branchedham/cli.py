@@ -57,6 +57,9 @@ _P_MAX_MAX = 100.0
 # reads 2e-3 at kappa = 100 and 22 at kappa = 1000
 _KAPPA_MAX = 100.0
 _GRID_N_MAX = 10 ** 6
+# a flow started at or beyond the escape bound never crosses it: x_v [1e9, 0.5],
+# [0, 1e6] and [1e6, 1.5] overflowed
+_X_V_MAX = math.nextafter(classical._ESCAPE_BOUND, 0.0)
 
 
 # One row per config field: its path ("[]" is each list item), commands,
@@ -83,10 +86,7 @@ FIELDS = (
     Field("trajectories[].p", _C, "num"),
     Field("trajectories[].branch", _C, "str"),  # the model's branches
     Field("trajectories[].x_v", _C, "list", 2, 2),
-    # a flow started beyond the escape bound never crosses it: x_v [1e9, 0.5]
-    # overflowed and [0, 1e9] wrote NaN
-    Field("trajectories[].x_v[]", _C, "num", -classical._ESCAPE_BOUND,
-          classical._ESCAPE_BOUND),
+    Field("trajectories[].x_v[]", _C, "num", -_X_V_MAX, _X_V_MAX),
     Field("trajectories[].t_max", _C, "pos", hi=_T_MAX_MAX),  # else t_max
     Field("tol", _C, "pos", default=1e-9, flag="--tol"),
     Field("t_max", _C, "pos", hi=_T_MAX_MAX, default=20.0),
@@ -316,25 +316,18 @@ def _run_branches(cfg, model, out, formats, manifest):
             kin = models.gaussian_lagrangian(model, 0.0, float(z)) \
                 + model.potential(0.0)
             rows_k.append((float(z), kin / model.C))
-        pc = model.p_cusp
-        ps = np.linspace(-pc, pc, n)
-        for branch in (models.BranchId.MINUS, models.BranchId.MIDDLE,
-                       models.BranchId.PLUS):
-            for p in ps:
-                pv = float(p)
-                if branch is models.BranchId.MINUS and pv > 0.0:
-                    continue
-                if branch is models.BranchId.PLUS and pv < 0.0:
-                    continue
-                h = models.gaussian_hamiltonian(model, 0.0, pv, branch)
-                rows_h.append((branch.value, pv, h))
+        ps = np.linspace(-model.p_cusp, model.p_cusp, n).tolist()
     else:
-        ps = np.linspace(0.05, 6.0, n)
-        for branch in (models.BranchId.H_MINUS, models.BranchId.H_PLUS):
-            for p in ps:
-                h = models.family_hamiltonian(model, 0.0, float(p), branch) \
-                    - model.potential(0.0)
-                rows_h.append((branch.value, float(p), h))
+        ps = np.linspace(0.05, 6.0, n).tolist()
+    for branch in _branches_for(model):
+        for p in ps:
+            if branch is models.BranchId.MINUS and p > 0.0 \
+                    or branch is models.BranchId.PLUS and p < 0.0:
+                continue
+            h = classical._hamiltonian(model, 0.0, p, branch)
+            if not branch.is_gaussian:  # family rows leave V(0) out
+                h -= model.potential(0.0)
+            rows_h.append((branch.value, p, h))
 
     if "csv" in formats:
         if rows_k:

@@ -120,16 +120,16 @@ def deformed_shift_at_zero(kappa: float) -> float:
     return 2.0 * kappa * kappa
 
 
-def riccati_residual(kappa: float, p: float, h: float = 1e-5) -> float:
+def riccati_residual(kappa: float, p: float) -> float:
     """|w_kappa^2 - w_kappa' - (p - 1/(2 sqrt p))| with w' by finite differences.
 
-    The identity holds for every kappa; the residual is finite-difference
-    noise only.
+    The identity holds for every kappa; the residual is the noise of the
+    central difference with step 1e-5 only.
     """
-    if p - h <= 0.0:
-        raise DomainError("riccati_residual: need p > h")
+    if p - 1e-5 <= 0.0:
+        raise DomainError("riccati_residual: need p > 1e-5")
     w = superpotential_w(kappa, p)
-    wp = fd_derivative(lambda q: superpotential_w(kappa, q), p, order=1, h=h)
+    wp = fd_derivative(lambda q: superpotential_w(kappa, q), p)
     return abs(w * w - wp - (p - 0.5 / math.sqrt(p)))
 
 
@@ -162,8 +162,7 @@ def zero_mode_residual(kappa: float, grid: Sequence[float]) -> tuple[float, floa
     return float(np.max(r1[1:-1])), float(np.max(r2[1:-1]))
 
 
-def hminus_nonnormalizable_check(kappa: float, p_max: float = 30.0,
-                                 n_grid: int = 121) -> bool:
+def hminus_nonnormalizable_check(kappa: float, p_max: float = 30.0) -> bool:
     """True iff int_0^p w_kappa turns negative and keeps decreasing below p_max.
 
     That makes the candidate lower-Hamiltonian zero mode e^{-int w} blow up,
@@ -175,12 +174,13 @@ def hminus_nonnormalizable_check(kappa: float, p_max: float = 30.0,
         raise DomainError("hminus_nonnormalizable_check: p_max must be >= 20")
     if kappa == 0.0:
         return False
-    ps = np.linspace(0.0, p_max, n_grid)
-    cum = np.zeros(n_grid)
-    for i in range(1, n_grid):
+    n = 121
+    ps = np.linspace(0.0, p_max, n)
+    cum = np.zeros(n)
+    for i in range(1, n):
         cum[i] = cum[i - 1] + quad(lambda q: superpotential_w(kappa, q),
                                    float(ps[i - 1]), float(ps[i]), tol=1e-9)
-    tail = cum[-(n_grid // 4):]
+    tail = cum[-(n // 4):]
     return bool(np.all(np.diff(tail) < 0.0) and np.all(tail < 0.0))
 
 
@@ -225,12 +225,13 @@ class DeformationProfile:
                              + _phi0_deriv_at_zero(self.kappa, self.g_table))}
 
 
-def _phi0_deriv_at_zero(kappa: float, table: ScaledGTable, h: float = 1e-5) -> float:
+def _phi0_deriv_at_zero(kappa: float, table: ScaledGTable) -> float:
     # One-sided stencil matched to the p^{1/2}-power expansion at 0:
     # phi0(p) = phi0(0) + phi0'(0) p + c p^{3/2} + ..., so plain one-sided
     # differences stall at O(sqrt(h)).  Three forward slopes at h, h/4, h/16
     # eliminate the sqrt(h) and h error terms exactly; the residual is
     # O(h^{3/2}).
+    h = 1e-5
     f0 = phi0(kappa, 0.0, table)
     d1 = (phi0(kappa, h, table) - f0) / h
     d2 = (phi0(kappa, h / 4.0, table) - f0) / (h / 4.0)

@@ -112,7 +112,6 @@ class PotentialProfile:
     kind: str            # "susy_minus" | "susy_plus" | "deformed_plus"
     sign: float
     shift0: float = 0.0
-    kappa: float = 0.0
     deformation: DeformationProfile | None = None
 
     @staticmethod
@@ -128,14 +127,10 @@ class PotentialProfile:
         kappa = float(kappa)
         return PotentialProfile("deformed_plus", +1.0,
                                 shift0=deformed_shift_at_zero(kappa),
-                                kappa=kappa, deformation=DeformationProfile(kappa))
+                                deformation=DeformationProfile(kappa))
 
     def u(self, p: float) -> float:
-        if self.kind == "susy_minus":
-            return p - 0.5 / math.sqrt(p)
-        if self.kind == "susy_plus":
-            return p + 0.5 / math.sqrt(p)
-        return self.deformation.potential_scalar(p)
+        return self.u_callable()(p)
 
     def u_callable(self) -> Callable[[float], float]:
         if self.kind == "susy_minus":
@@ -148,7 +143,6 @@ class PotentialProfile:
 @dataclass
 class ShootResult:
     mismatch: float           # psi(p_max) / max |psi| along the way
-    p_max: float
     n_rescale: int
     log_scale: float          # accumulated ln of the rescaling factors
     n_zeros: int              # sign changes of psi on (0, p_max]: N(E)
@@ -348,16 +342,16 @@ def shoot(profile: PotentialProfile, E: float, bc: BoundaryCondition,
     y0, dy0 = _frobenius_init(profile, E, bc)
     y, dy, runmax, n_rescale, log_scale, _, _, n_zeros = \
         _integrate_linear(profile.u_callable(), E, _P_START, p_max, y0, dy0, tol)
-    return ShootResult(y / runmax, p_max, n_rescale, log_scale, n_zeros)
+    return ShootResult(y / runmax, n_rescale, log_scale, n_zeros)
 
 
 def _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_e, p_max, tol):
     f_lo = shoot(profile, e_lo, bc, p_max, tol).mismatch
     f_hi = shoot(profile, e_hi, bc, p_max, tol).mismatch
     if f_lo == 0.0:
-        return e_lo, 0.0, f_lo
+        return e_lo, 0.0
     if f_hi == 0.0:
-        return e_hi, 0.0, f_hi
+        return e_hi, 0.0
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise NoSignChangeError(
             f"mismatch has equal signs at bracket ({e_lo!r}, {e_hi!r})")
@@ -367,14 +361,14 @@ def _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_e, p_max, tol):
         mid = 0.5 * (e_lo + e_hi)
         fm = shoot(profile, mid, bc, p_max, tol).mismatch
         if fm == 0.0:
-            return mid, 0.0, fm
+            return mid, 0.0
         if (f_lo < 0.0) != (fm < 0.0):
             e_hi, f_hi = mid, fm
         else:
             e_lo, f_lo = mid, fm
     else:
         raise ConvergenceError("eigenvalue bisection exceeded its budget")
-    return 0.5 * (e_lo + e_hi), e_hi - e_lo, None
+    return 0.5 * (e_lo + e_hi), e_hi - e_lo
 
 
 def _turning_point(u, E, p_max) -> float:
@@ -418,18 +412,18 @@ def solve_eigenvalue(profile: PotentialProfile, bc: BoundaryCondition,
     if not e_hi > e_lo:
         raise DomainError("solve_eigenvalue: need bracket[1] > bracket[0]")
     p_max = e_hi + _DEFAULT_MARGIN if p_max is None else float(p_max)
-    e_star, width, _ = _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_E, p_max, tol)
+    e_star, width = _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_E, p_max, tol)
     mismatch = shoot(profile, e_star, bc, p_max, tol).mismatch
 
     doubling_shift = math.nan
     if check_doubling:
         wide = max(50.0 * tol_E, 1e-5)
         try:
-            e2, _, _ = _bisect_eigenvalue(profile, bc, e_star - wide,
-                                          e_star + wide, tol_E, 2.0 * p_max, tol)
+            e2, _ = _bisect_eigenvalue(profile, bc, e_star - wide,
+                                       e_star + wide, tol_E, 2.0 * p_max, tol)
         except NoSignChangeError:
-            e2, _, _ = _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_E,
-                                          2.0 * p_max, tol)
+            e2, _ = _bisect_eigenvalue(profile, bc, e_lo, e_hi, tol_E,
+                                       2.0 * p_max, tol)
         doubling_shift = abs(e2 - e_star)
 
     u = profile.u_callable()
@@ -607,12 +601,12 @@ def boundary_term(chi: EigenSolution, psi: EigenSolution) -> float:
     return float(psi.psi[0] * chi.dpsi[0] - chi.psi[0] * psi.dpsi[0])
 
 
-def classify_boundary(values: np.ndarray, threshold: float = 1e-3) -> str:
-    """'dirichlet' when the first sample is tiny against max|values|."""
+def classify_boundary(values: np.ndarray) -> str:
+    """'dirichlet' when the first sample is below 1e-3 max|values|."""
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise DomainError("classify_boundary: zero function")
-    return "dirichlet" if abs(float(values[0])) < threshold * scale else "neumann"
+    return "dirichlet" if abs(float(values[0])) < 1e-3 * scale else "neumann"
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class WBranch(Enum):
     LOWER = -1      # W-1, defined on [-1/e, 0),   W-1(x) <= -1
 
 
-def lambert_w(branch: WBranch, x: float, tol: float = 1e-14) -> float:
+def lambert_w(branch: WBranch, x: float) -> float:
     """Real Lambert W: the solution w of w e^w = x on the requested branch.
 
     Halley iteration from a branch-appropriate initial guess: the Puiseux
@@ -76,7 +76,7 @@ def lambert_w(branch: WBranch, x: float, tol: float = 1e-14) -> float:
             break
         dw = r / denom
         w -= dw
-        if abs(dw) <= tol * (abs(w) + tol):
+        if abs(dw) <= 1e-14 * (abs(w) + 1e-14):
             break
     return w
 
@@ -113,6 +113,9 @@ def _branch_point_series(x: float, sgn: float) -> float:
 
 # Small-p series: G = p - (4/5)p^{5/2} + (2/5)p^4 - (8/55)p^{11/2} + (16/385)p^7
 _G_SERIES_CUT = 0.05
+# rtol of the G sweeps: 0.1 * 1e-10 is one ulp above 1e-11, and the table
+# bits keep it
+_G_RTOL = 0.1 * 1e-10
 _NODES_PER_UNIT = 256  # ScaledGTable node density
 
 
@@ -125,21 +128,19 @@ def _g_rhs(t: float, y: tuple) -> tuple:
     return (1.0 - 2.0 * math.sqrt(t) * y[0],)
 
 
-def scaled_g(p: float, tol: float = 1e-10) -> float:
+def scaled_g(p: float) -> float:
     """G(p) = e^{-4p^{3/2}/3} * int_0^p e^{4s^{3/2}/3} ds for p >= 0.
 
     Computed as the solution of the linear ODE G' = 1 - 2 sqrt(p) G with
     G(0) = 0 (series start below p=0.05), so the overflowing exponential is
-    never formed.  Relative accuracy ~tol.
+    never formed.  Relative accuracy ~1e-10.
     """
-    if tol <= 0.0:
-        raise DomainError("scaled_g: tol must be positive")
     if p < 0.0:
         raise DomainError(f"scaled_g: p={p!r} must be >= 0")
     if p <= _G_SERIES_CUT:
         return _g_series(p)
     res = solve_rk45(_g_rhs, _G_SERIES_CUT, [_g_series(_G_SERIES_CUT)], p,
-                     rtol=0.1 * tol, atol=1e-16)
+                     rtol=_G_RTOL, atol=1e-16)
     return float(res.y[0])
 
 
@@ -160,12 +161,11 @@ class ScaledGTable:
         self._h = self.p_max / (n - 1)
         self._ps = np.linspace(0.0, p_max, n)
         # the sweep ends at the last node and its dense segments tile
-        # [cutoff, p_max], so the collector takes every node above the cutoff;
-        # rtol 0.1 * 1e-10 is one ulp above 1e-11, and the table bits keep it
+        # [cutoff, p_max], so the collector takes every node above the cutoff
         small = self._ps <= _G_SERIES_CUT
         coll = SampleCollector(self._ps[~small])
         solve_rk45(_g_rhs, _G_SERIES_CUT, [_g_series(_G_SERIES_CUT)], self.p_max,
-                   rtol=0.1 * 1e-10, atol=1e-16, on_dense=coll)
+                   rtol=_G_RTOL, atol=1e-16, on_dense=coll)
         self._g = np.array([_g_series(p) for p in self._ps[small].tolist()]
                            + [v[0] for v in coll.values])
         del coll  # its samples go before the float lists below are made

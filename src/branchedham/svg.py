@@ -16,6 +16,8 @@ __all__ = ["Series", "PlotStyle", "render_svg"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf", "#000000")
+_WIDTH, _HEIGHT, _MARGIN = 640, 480, 54
+_N_TICKS = 6
 
 
 @dataclass
@@ -23,18 +25,13 @@ class Series:
     name: str
     points: Sequence[tuple[float, float]]
     color: str | None = None
-    closed: bool = False
 
 
 @dataclass
 class PlotStyle:
-    width: int = 640
-    height: int = 480
-    margin: int = 54
     title: str = ""
     x_label: str = "x"
     y_label: str = "y"
-    n_ticks: int = 6
     legend: bool = True
 
 
@@ -42,10 +39,8 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _ticks(lo: float, hi: float, n: int) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+def _ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / (_N_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
@@ -85,7 +80,7 @@ def render_svg(series: Sequence[Series], style: PlotStyle | None = None) -> str:
         if not 64 * math.ulp(max(abs(lo), abs(hi))) < hi - lo < math.inf:
             raise DomainError(f"render_svg: cannot draw the range [{lo!r}, {hi!r}]")
 
-    w, h, m = style.width, style.height, style.margin
+    w, h, m = _WIDTH, _HEIGHT, _MARGIN
 
     def sx(x):
         return m + (x - x_lo) / (x_hi - x_lo) * (w - 2 * m)
@@ -106,13 +101,13 @@ def render_svg(series: Sequence[Series], style: PlotStyle | None = None) -> str:
     # axes box and ticks
     out.append(f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
                'fill="none" stroke="#888" stroke-width="1"/>')
-    for t in _ticks(x_lo, x_hi, style.n_ticks):
+    for t in _ticks(x_lo, x_hi):
         px = sx(t)
         out.append(f'<line x1="{_fmt(px)}" y1="{h - m}" x2="{_fmt(px)}" '
                    f'y2="{h - m + 5}" stroke="#444"/>')
         out.append(f'<text x="{_fmt(px)}" y="{h - m + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="10">{t:g}</text>')
-    for t in _ticks(y_lo, y_hi, style.n_ticks):
+    for t in _ticks(y_lo, y_hi):
         py = sy(t)
         out.append(f'<line x1="{m - 5}" y1="{_fmt(py)}" x2="{m}" '
                    f'y2="{_fmt(py)}" stroke="#444"/>')
@@ -139,8 +134,7 @@ def render_svg(series: Sequence[Series], style: PlotStyle | None = None) -> str:
                     cx, cy = chunk[0].split(",")
                     out.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
                 continue
-            tag = "polygon" if s.closed else "polyline"
-            out.append(f'<{tag} points="{" ".join(chunk)}" fill="none" '
+            out.append(f'<polyline points="{" ".join(chunk)}" fill="none" '
                        f'stroke="{color}" stroke-width="1.3"/>')
 
     if style.legend:

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from branchedham import classical
 from branchedham.classical import (GridSpec, OrbitClass, Region, Termination,
                                    classify_orbit, contours_to_csv,
                                    energy_contour, integrate_branch_flow,
                                    integrate_lagrangian_flow, make_state,
                                    trajectory_to_csv, trajectory_to_json,
                                    turning_points)
-from branchedham.errors import (BelowThresholdError, DomainError, NoOrbitError,
-                                SingularInputError)
+from branchedham.errors import (BelowThresholdError, ConvergenceError,
+                                DomainError, NoOrbitError, SingularInputError)
 from branchedham.models import (SUSY_C, BranchId, GaussianModel, Potential,
                                 family_momentum, gaussian_hamiltonian,
                                 susy_energy, susy_model)
@@ -151,6 +152,20 @@ class TestGaussianFlow:
         assert traj.termination is Termination.ESCAPE_TO_INFINITY
         assert traj.t_escape is not None
 
+    def test_switch_cap_raises_instead_of_stopping_early(self, monkeypatch):
+        # x = 0.7 on V = x^2 makes 36 switches by t = 20; the cap admits
+        # exactly that many and fails on the next one
+        m = GaussianModel(1.0, 1.0, Potential("square"))
+        init = make_state(m, 0.0, 0.7, 0.1, BranchId.MIDDLE)
+        monkeypatch.setattr(classical, "_MAX_SWITCHES", 36)
+        traj = integrate_branch_flow(m, init, 20.0)
+        assert len(traj.events) == 36
+        assert traj.termination is Termination.TIME_LIMIT
+        monkeypatch.setattr(classical, "_MAX_SWITCHES", 35)
+        with pytest.raises(ConvergenceError, match=r"more than 35 branch switches, "
+                                                   r"the next at t=19\.6"):
+            integrate_branch_flow(m, init, 20.0)
+
     def test_init_validation(self):
         with pytest.raises(DomainError):
             integrate_branch_flow(GAUSS_HARMONIC,
@@ -226,6 +241,16 @@ class TestLagrangianFlow:
             assert traj.termination is Termination.ESCAPE_TO_INFINITY
             assert traj.t_escape < 10.0
             assert all(st.v > 1.0 for st in traj.samples if st.t > 0)
+
+    @pytest.mark.parametrize("x_v", [(0.0, 5e5), (0.0, math.nextafter(1e6, 0.0)),
+                                     (math.nextafter(1e6, 0.0), 1.5),
+                                     (3e5, 0.5)])
+    def test_start_near_the_escape_bound_escapes(self, x_v):
+        # the first trial step from these starts overflows a double; the
+        # stepper rejects it and the escape event fires within microseconds
+        traj = integrate_lagrangian_flow(x_v, 20.0)
+        assert traj.termination is Termination.ESCAPE_TO_INFINITY
+        assert 0.0 < traj.t_escape < 1e-5
 
     def test_energy_conservation(self):
         traj = integrate_lagrangian_flow((0.2, -0.5), 10.0, tol=1e-9)

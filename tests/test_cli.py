@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from branchedham import cli
+from branchedham import classical, cli, quantum
 from branchedham.cli import DEFAULT_CONFIGS, FIELDS, main, run, validate_config
 from branchedham.errors import EmptyDatasetError, ValidationError
 from branchedham.svg import PlotStyle, Series, render_svg
@@ -90,6 +90,11 @@ class TestValidation:
          "config.trajectories[0].x_v[0]"),
         ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [0.0, 1e9]}]},
          "config.trajectories[0].x_v[1]"),
+        # a flow started on the escape bound never crosses it
+        ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [0, 1000000]}]},
+         "config.trajectories[0].x_v[1]"),
+        ({"model": {"kind": "susy"}, "trajectories": [{"x_v": [1000000, 1.5]}]},
+         "config.trajectories[0].x_v[0]"),
         # p^(-(2k+1)/2) and p^(-(2k-1)/2) overflow a double at tiny momenta
         ({"model": {"kind": "susy"},
           "trajectories": [{"x": 0.2, "p": 1e-300, "branch": "h_plus"}]},
@@ -319,6 +324,43 @@ class TestMain:
 
     def test_bad_format_flag(self, tmp_path):
         assert main(["branches", "--out", str(tmp_path), "--format", "png"]) == 2
+
+    def test_switch_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        # far up V = x^2 the flow bounces between the cusps every ~4e-4 time
+        # units: the uncapped run made 10000 switches by t = 4.04
+        monkeypatch.setattr(classical, "_MAX_SWITCHES", 20)
+        cfg = {"command": "classical",
+               "model": {"kind": "gaussian", "potential": {"kind": "square"}},
+               "trajectories": [{"x": 1000, "p": 0.1, "branch": "middle",
+                                 "t_max": 20}]}
+        cfg_path = tmp_path / "cap.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["classical", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error [classical]: "
+                              "integrate_branch_flow: more than 20 branch switches")
+        assert "Traceback" not in err
+
+    def test_scan_matches_the_library_spectrum(self, tmp_path, capsys):
+        # the path of every generated `scan` op: a spectrum below e_max
+        cfg = {"command": "quantum", "profile": "susy_plus", "bc": "dirichlet",
+               "e_max": 4.0}
+        cfg_path = tmp_path / "scan.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["quantum", "--config", str(cfg_path), "--out", str(out),
+                     "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+        json.loads(capsys.readouterr().out, parse_constant=reject)
+        json.loads((out / "run_report.json").read_text(), parse_constant=reject)
+        levels = json.loads((out / "spectrum.json").read_text(), parse_constant=reject)
+        expected = quantum.spectrum(quantum.PotentialProfile.susy_plus(),
+                                    quantum.BoundaryCondition.dirichlet(), 4.0)
+        assert expected  # one level, 2.7709...
+        assert [repr(lv["E"]) for lv in levels] == [repr(s.E) for s in expected]
 
 
 class TestRenderSvg:

@@ -6,8 +6,8 @@ import pytest
 from branchedham.errors import (BranchMismatchError, DomainError,
                                 SingularInputError)
 from branchedham.models import (SUSY_C, BranchId, FamilyModel, GaussianModel,
-                                Potential, family_hamiltonian, family_momentum,
-                                family_velocity, gaussian_cusps,
+                                Potential, family_hamiltonian, family_lagrangian,
+                                family_momentum, family_velocity, gaussian_cusps,
                                 gaussian_hamiltonian, gaussian_lagrangian,
                                 gaussian_momentum, gaussian_velocity,
                                 model_from_config, susy_energy, susy_model)
@@ -243,6 +243,25 @@ class TestFamily:
         # both branches approach p + V at large momentum
         assert family_hamiltonian(fam, 0.0, 1e8, BranchId.H_MINUS) == \
             pytest.approx(1e8, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lagrangian_legendre_identity(self, k):
+        # H(x, p) = p v(p) - L(x, v(p)) on both branches
+        m = FamilyModel(k=k)
+        for x in (0.0, 0.7):
+            for p in (0.05, 0.3, 1.0, 2.5, 6.0):
+                for branch in (BranchId.H_MINUS, BranchId.H_PLUS):
+                    v = family_velocity(m, p, branch)
+                    assert p * v - family_lagrangian(m, x, v) == pytest.approx(
+                        family_hamiltonian(m, x, p, branch), rel=1e-12, abs=0.0)
+
+    def test_lagrangian_overflow_raises(self):
+        # k = 25 at p = 0.05: |v - 1| ~ 3.8e32, and (v - 1)^49 overflows
+        m = FamilyModel(k=25)
+        for branch in (BranchId.H_MINUS, BranchId.H_PLUS):
+            v = family_velocity(m, 0.05, branch)
+            with pytest.raises(DomainError):
+                family_lagrangian(m, 0.0, v)
 
     def test_derived_constant(self):
         assert FamilyModel(k=1).C == pytest.approx(3.0 / 4.0 ** (2.0 / 3.0))
