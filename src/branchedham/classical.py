@@ -44,7 +44,8 @@ from .models import (SUSY_C, BranchId, FamilyModel, GaussianModel,
 
 __all__ = [
     "PhaseState", "SwitchEvent", "Termination", "Trajectory", "OrbitClass",
-    "Region", "GridSpec", "integrate_branch_flow", "integrate_lagrangian_flow",
+    "Region", "GridSpec", "make_state", "integrate_branch_flow",
+    "integrate_lagrangian_flow",
     "classify_orbit", "turning_points", "energy_contour",
     "trajectory_to_csv", "trajectory_to_json", "contours_to_csv",
 ]

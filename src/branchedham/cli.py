@@ -156,6 +156,8 @@ def validate_config(cfg: dict) -> dict:
     for f in FIELDS:
         if f.required and command in f.commands and f.path not in cfg:
             raise ValidationError(f"config.{f.path}: required")
+    if command in ("classical", "deform"):
+        _check_file_names(cfg, "energies" if command == "classical" else "kappas")
     if command == "classical":
         _check_trajectories(cfg)
     if command == "quantum":
@@ -201,6 +203,16 @@ def _check(row: Field, value, where: str, command: str) -> None:
             lo = "(0" if kind == "pos" else f"[{row.lo}"
             raise ValidationError(f"{where}: must be {noun} in {lo}, {row.hi}], "
                                   f"got {value!r}")
+
+
+def _check_file_names(cfg: dict, key: str) -> None:
+    """No two items of `key` write the same file: names keep 6 significant digits."""
+    taken = {}
+    for k, v in enumerate(_value(cfg, key)):
+        first = taken.setdefault(_slug(v), k)
+        if first != k:
+            raise ValidationError(f"config.{key}[{k}]: {v!r} takes the file name "
+                                  f"of {key}[{first}]")
 
 
 def _check_trajectories(cfg: dict) -> None:
@@ -458,7 +470,8 @@ def _run_deform(cfg, out, formats, manifest, diagnostics):
     p_hi = float(_value(cfg, "p_grid.max"))
     n = _value(cfg, "p_grid.n")
     ps = np.linspace(p_hi / n, p_hi, n)
-    resid_grid = np.linspace(0.3, min(p_hi, 10.0), 3881)
+    # one residual window for every p_grid: the profile samples do not enter it
+    resid_grid = np.linspace(0.3, 10.0, 3881)
     per_kappa = {}
     series_phi = []
     series_w = []

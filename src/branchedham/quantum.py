@@ -46,7 +46,7 @@ import numpy as np
 from ._ode import (_A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
                    _A64, _A65, _A71, _A73, _A74, _A75, _A76, _B41, _B43, _B44,
                    _B45, _B46, _B47, _D1, _D3, _D4, _D5, _D6, _D7)
-from .deformation import DeformationProfile, deformed_shift_at_zero
+from .deformation import DeformationProfile
 from .errors import (ConvergenceError, DomainError, NoSignChangeError,
                      ZeroEnergyError)
 
@@ -124,10 +124,9 @@ class PotentialProfile:
 
     @staticmethod
     def deformed_plus(kappa: float) -> "PotentialProfile":
-        kappa = float(kappa)
-        return PotentialProfile("deformed_plus", +1.0,
-                                shift0=deformed_shift_at_zero(kappa),
-                                deformation=DeformationProfile(kappa))
+        deformation = DeformationProfile(kappa)
+        return PotentialProfile("deformed_plus", +1.0, shift0=deformation.shift0,
+                                deformation=deformation)
 
     def u(self, p: float) -> float:
         return self.u_callable()(p)

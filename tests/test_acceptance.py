@@ -193,16 +193,17 @@ def test_criterion_09_susy_classical_thresholds():
 def test_criterion_10_riccati_invariance():
     worst = 0.0
     for kappa in (0.125, 0.25, 0.5, 1.0):
+        prof = deformation.DeformationProfile(kappa)
         for p in np.geomspace(0.05, 30.0, 60):
-            worst = max(worst, deformation.riccati_residual(kappa, float(p)))
+            worst = max(worst, prof.riccati_residual(float(p)))
     ok = worst < 1e-7
     report(10, ok, f"max |w^2 - w' - (p - 1/(2 sqrt p))| over kappa x p grid "
                    f"= {worst:.1e} < 1e-7")
 
 
 def test_criterion_11_deformed_zero_mode():
-    r1, r2 = deformation.zero_mode_residual(1.0, np.linspace(0.3, 10.0, 7761))
     prof = deformation.DeformationProfile(1.0)
+    r1, r2 = prof.zero_mode_residual(np.linspace(0.3, 10.0, 7761))
     robin = prof.residuals(np.linspace(0.3, 5.0, 801))["robin"]
     sol = quantum.solve_eigenvalue(quantum.PotentialProfile.deformed_plus(1.0),
                                    quantum.BoundaryCondition.robin(1.0),
@@ -225,9 +226,9 @@ def test_criterion_12_norm_constant():
 
 
 def test_criterion_13_asymptotics():
-    ratios = {k: deformation.superpotential_w(k, 25.0) / 5.0 for k in (0.125, 1.0)}
-    gap30 = abs(deformation.superpotential_w(0.125, 30.0)
-                - deformation.superpotential_w(1.0, 30.0))
+    ratios = {k: deformation.DeformationProfile(k).w(25.0) / 5.0 for k in (0.125, 1.0)}
+    gap30 = abs(deformation.DeformationProfile(0.125).w(30.0)
+                - deformation.DeformationProfile(1.0).w(30.0))
     ok = all(-1.01 <= r <= -0.99 for r in ratios.values()) and gap30 < 1e-6
     report(13, ok, f"w(25)/sqrt(25) = {ratios[0.125]:.5f}, {ratios[1.0]:.5f} "
                    f"in [-1.01,-0.99]; |w_1/8(30)-w_1(30)| = {gap30:.1e} < 1e-6")

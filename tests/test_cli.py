@@ -68,6 +68,11 @@ class TestValidation:
         ({"trajectories": [{"x": 0.7, "p": 0.0, "branch": "middle",
                             "t_max": 1e9}]}, "config.trajectories[0].t_max"),
         ({"grid": {"nx": -3}}, "config: unknown fields ['grid']"),
+        # file names keep 6 significant digits, so these share contour_E*.csv
+        ({"energies": [0.1234561, 0.1234562]},
+         "config.energies[1]: 0.1234562 takes the file name of energies[0]"),
+        ({"energies": [1.0, 1, 1.0]},
+         "config.energies[1]: 1 takes the file name of energies[0]"),
     ])
     def test_classical_probe_exits_2_without_files(self, tmp_path, capsys,
                                                    change, path):
@@ -143,6 +148,8 @@ class TestValidation:
         ({"p_grid": {"max": 10.0, "n": 1001, "min": 0.0}}, "config.p_grid"),
         ({"kappas": []}, "config.kappas"),
         ({"kappas": [0.5] * 101}, "config.kappas"),
+        ({"kappas": [1.234567, 1.234571]},
+         "config.kappas[1]: 1.234571 takes the file name of kappas[0]"),
     ])
     def test_deform_probe_exits_2_without_files(self, tmp_path, capsys,
                                                 change, path):
@@ -286,6 +293,20 @@ class TestRun:
             assert (tmp_path / f"contour_E{tag}.csv").exists()
         assert (tmp_path / "trajectory_0.csv").exists()
         assert report["diagnostics"]["energy_drift"]["trajectory_1"] < 1e-6
+
+    @pytest.mark.parametrize("p_max", [0.3, 0.30000001, 0.2])
+    def test_deform_residual_window_is_fixed(self, tmp_path, p_max):
+        # the residuals use p in [0.3, 10] whatever the sampled profile range
+        reports = {}
+        for p_hi in (10.0, p_max):
+            cfg = {"command": "deform", "kappas": [1.0],
+                   "p_grid": {"max": p_hi, "n": 101}}
+            cfg_path = tmp_path / f"deform_{p_hi}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out_{p_hi}"
+            assert main(["deform", "--config", str(cfg_path), "--out", str(out)]) == 0
+            reports[p_hi] = json.loads((out / "run_report.json").read_text())
+        assert reports[p_max]["diagnostics"] == reports[10.0]["diagnostics"]
 
     def test_deform_diagnostics(self, tmp_path):
         cfg = validate_config(load_fixture("deform_profiles.json"))

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from branchedham.deformation import (DeformationProfile, deformed_potential,
-                                     deformed_shift_at_zero,
-                                     hminus_nonnormalizable_check, phi0,
-                                     profile_to_csv, riccati_residual,
-                                     superpotential_w, zero_mode_residual)
+from branchedham.deformation import DeformationProfile, profile_to_csv
 from branchedham.errors import DegenerateInputError, DomainError
 from branchedham.specfun import fd_derivative, quad
 
@@ -29,37 +25,36 @@ def w_direct_oracle(kappa, p):
 
 class TestSuperpotential:
     def test_undeformed(self):
-        assert superpotential_w(0.0, 4.0) == 2.0
+        assert DeformationProfile(0.0).w(4.0) == 2.0
 
     def test_matches_direct_quadrature(self):
         for p in (0.1, 0.5, 1.0, 2.5, 5.0):
-            assert superpotential_w(1.0, p) == pytest.approx(
+            assert DeformationProfile(1.0).w(p) == pytest.approx(
                 w_direct_oracle(1.0, p), abs=1e-9)
-        assert superpotential_w(0.25, 3.0) == pytest.approx(
+        assert DeformationProfile(0.25).w(3.0) == pytest.approx(
             w_direct_oracle(0.25, 3.0), abs=1e-9)
 
     def test_large_p_asymptote(self):
         # w_kappa ~ -sqrt(p) with an O(p^{-3/2}) relative correction
         for kappa in (0.125, 1.0):
-            ratio = superpotential_w(kappa, 25.0) / math.sqrt(25.0)
+            ratio = DeformationProfile(kappa).w(25.0) / math.sqrt(25.0)
             assert -1.01 < ratio < -0.99
 
     def test_kappa_independent_asymptote(self):
-        assert abs(superpotential_w(0.125, 30.0)
-                   - superpotential_w(1.0, 30.0)) < 1e-6
+        assert abs(DeformationProfile(0.125).w(30.0)
+                   - DeformationProfile(1.0).w(30.0)) < 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            superpotential_w(1.0, 0.0)
+            DeformationProfile(1.0).w(0.0)
         with pytest.raises(DomainError):
-            superpotential_w(-0.5, 1.0)
+            DeformationProfile(-0.5).w(1.0)
 
 
 class TestPhi0:
     def test_boundary_values(self):
-        assert phi0(1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        from branchedham.deformation import _phi0_deriv_at_zero, shared_g_table
-        d0 = _phi0_deriv_at_zero(1.0, shared_g_table())
+        assert DeformationProfile(1.0).phi0(0.0) == pytest.approx(1.0, rel=1e-14)
+        d0 = DeformationProfile(1.0)._phi0_deriv_at_zero()
         assert d0 == pytest.approx(-1.0, abs=1e-6)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
@@ -71,57 +66,59 @@ class TestPhi0:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_positive(self, kappa):
         ps = np.linspace(0.0, 40.0, 200)
-        assert np.all(phi0(kappa, ps) > 0.0)
+        assert np.all(DeformationProfile(kappa).phi0(ps) > 0.0)
 
     def test_square_integrable_with_exact_norm(self):
         # d/dp[-1/(1+kappa g)] = phi0^2/kappa, so the half-line norm is
         # exactly kappa; the doubled upper limit changes nothing measurable
         for kappa in (0.5, 1.0):
-            n1 = quad(lambda p: phi0(kappa, p) ** 2, 0.0, 60.0, tol=1e-11)
-            n2 = quad(lambda p: phi0(kappa, p) ** 2, 0.0, 120.0, tol=1e-11)
+            prof = DeformationProfile(kappa)
+            n1 = quad(lambda p: prof.phi0(p) ** 2, 0.0, 60.0, tol=1e-11)
+            n2 = quad(lambda p: prof.phi0(p) ** 2, 0.0, 120.0, tol=1e-11)
             assert n1 == pytest.approx(kappa, abs=1e-8)
             assert abs(n2 - n1) < 1e-8
 
     def test_large_p_form(self):
         # phi0 -> 2 sqrt(p) e^{-2p^{3/2}/3}
         for p in (20.0, 30.0):
-            assert phi0(1.0, p) == pytest.approx(
+            assert DeformationProfile(1.0).phi0(p) == pytest.approx(
                 2.0 * math.sqrt(p) * math.exp(-2.0 * p ** 1.5 / 3.0), rel=5e-3)
 
     def test_degenerate_kappa(self):
         with pytest.raises(DegenerateInputError):
-            phi0(0.0, 1.0)
+            DeformationProfile(0.0).phi0(1.0)
 
 
 class TestDeformedPotential:
     def test_undeformed_value(self):
-        assert deformed_potential(0.0, 1.0) == 1.5
+        assert DeformationProfile(0.0).potential(1.0) == 1.5
 
     def test_factorization_identity(self):
         # U_kappa equals w^2 + w' with the derivative by finite differences
+        prof = DeformationProfile(1.0)
         for p in (0.2, 0.7, 1.5, 4.0, 9.0):
-            w = superpotential_w(1.0, p)
-            wp = fd_derivative(lambda q: superpotential_w(1.0, q), p, h=1e-5)
-            assert deformed_potential(1.0, p) == pytest.approx(w * w + wp, abs=1e-6)
+            w = prof.w(p)
+            wp = fd_derivative(prof.w, p, h=1e-5)
+            assert prof.potential(p) == pytest.approx(w * w + wp, abs=1e-6)
 
     def test_infinite_kappa_limit_finite(self):
         # kappa cancels in the ratio; convergence to the limit goes like
         # e^{-4p^{3/2}/3}/kappa, so the 1e-6 agreement needs p beyond ~3
         for p in (3.0, 5.0, 10.0):
-            assert abs(deformed_potential(1e6, p)
-                       - deformed_potential(1e8, p)) < 1e-6
-        assert abs(deformed_potential(1e6, 0.5)
-                   - deformed_potential(1e8, 0.5)) < 1e-3
+            assert abs(DeformationProfile(1e6).potential(p)
+                       - DeformationProfile(1e8).potential(p)) < 1e-6
+        assert abs(DeformationProfile(1e6).potential(0.5)
+                   - DeformationProfile(1e8).potential(0.5)) < 1e-3
         # and the limit expression itself is finite
         g = 0.5  # any p: U_inf = p + 1/(2 sqrt p) - 4 sqrt(p)/G + 2/G^2
-        assert math.isfinite(deformed_potential(1e8, g))
+        assert math.isfinite(DeformationProfile(1e8).potential(g))
 
     def test_shift_at_zero(self):
-        assert deformed_shift_at_zero(0.5) == 0.5
+        assert DeformationProfile(0.5).shift0 == 0.5
         # the regular part of U_kappa at p -> 0+ tends to 2 kappa^2
         for kappa in (0.25, 1.0):
             base = 1e-8 + 0.5 / math.sqrt(1e-8)
-            assert deformed_potential(kappa, 1e-8) - base == pytest.approx(
+            assert DeformationProfile(kappa).potential(1e-8) - base == pytest.approx(
                 2.0 * kappa ** 2, abs=1e-3)
 
     def test_undeformed_limit_inside_crossover(self):
@@ -130,12 +127,13 @@ class TestDeformedPotential:
         # kappa=1e-30 is undeformed to 1e-6 across [0.1, 10] ...
         ps = np.linspace(0.1, 10.0, 300)
         base = ps + 0.5 / np.sqrt(ps)
-        assert np.max(np.abs(deformed_potential(1e-30, ps) - base)) < 1e-6
+        assert np.max(np.abs(DeformationProfile(1e-30).potential(ps) - base)) < 1e-6
         # ... while kappa=1e-8 only is below the same bound for p <~ 1.8
         ps2 = np.linspace(0.1, 1.5, 100)
         base2 = ps2 + 0.5 / np.sqrt(ps2)
-        assert np.max(np.abs(deformed_potential(1e-8, ps2) - base2)) < 1e-6
-        assert abs(deformed_potential(1e-8, 10.0) - (10.0 + 0.5 / math.sqrt(10.0))) > 0.1
+        tiny = DeformationProfile(1e-8)
+        assert np.max(np.abs(tiny.potential(ps2) - base2)) < 1e-6
+        assert abs(tiny.potential(10.0) - (10.0 + 0.5 / math.sqrt(10.0))) > 0.1
 
     @pytest.mark.parametrize("kappa", [0.0, 0.715282, 1.0])
     def test_scalar_potential_is_float(self, kappa):
@@ -143,52 +141,67 @@ class TestDeformedPotential:
         for p in (1e-6, 0.01, 2.0, 129.5):
             assert type(prof.potential_scalar(p)) is float
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.001, 0.1, 0.715282, 1.0, 2.0, 10.0, 100.0])
+    def test_scalar_potential_matches_array(self, kappa):
+        # two transcriptions of one formula: the array path samples tables,
+        # the scalar path drives the shots
+        prof = DeformationProfile(kappa)
+        ps = np.concatenate([np.geomspace(1e-6, 1.0, 2000), np.linspace(1.0, 129.9, 4000)])
+        u = prof.potential(ps)
+        u_scalar = np.array([prof.potential_scalar(float(p)) for p in ps])
+        assert np.max(np.abs(u_scalar - u) / np.maximum(np.abs(u), 1.0)) < 1e-14
+
 
 class TestRiccati:
     def test_undeformed_point(self):
-        assert riccati_residual(0.0, 1.0) < 1e-9
+        assert DeformationProfile(0.0).riccati_residual(1.0) < 1e-9
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_kappa_independent_partner(self, kappa):
         for p in (0.1, 1.0, 5.0, 20.0):
-            assert riccati_residual(kappa, p) < 1e-7
+            assert DeformationProfile(kappa).riccati_residual(p) < 1e-7
 
     def test_specific_values(self):
-        assert riccati_residual(0.125, 2.0) < 1e-7
+        assert DeformationProfile(0.125).riccati_residual(2.0) < 1e-7
         for p in (0.1, 1.0, 5.0, 20.0):
-            assert riccati_residual(1.0, p) < 1e-7
+            assert DeformationProfile(1.0).riccati_residual(p) < 1e-7
 
 
 class TestZeroMode:
     @pytest.mark.parametrize("kappa", [0.25, 1.0])
     def test_residuals(self, kappa):
         grid = np.linspace(0.3, 10.0, 7761)
-        r1, r2 = zero_mode_residual(kappa, grid)
+        r1, r2 = DeformationProfile(kappa).zero_mode_residual(grid)
         assert r1 < 1e-5
         assert r2 < 1e-5
 
     def test_kappa_zero_degenerates(self):
         with pytest.raises(DegenerateInputError):
-            zero_mode_residual(0.0, np.linspace(0.3, 10.0, 101))
+            DeformationProfile(0.0).zero_mode_residual(np.linspace(0.3, 10.0, 101))
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            zero_mode_residual(1.0, np.linspace(-1.0, 1.0, 101))
+            DeformationProfile(1.0).zero_mode_residual(np.linspace(-1.0, 1.0, 101))
         with pytest.raises(DomainError):
-            zero_mode_residual(1.0, np.geomspace(0.1, 1.0, 101))
+            DeformationProfile(1.0).zero_mode_residual(np.geomspace(0.1, 1.0, 101))
+
+    @pytest.mark.parametrize("grid", [np.full(101, 0.3), np.linspace(10.0, 0.3, 101)])
+    def test_grid_spacing_must_be_positive(self, grid):
+        with pytest.raises(DomainError, match="spacing"):
+            DeformationProfile(1.0).zero_mode_residual(grid)
 
 
 class TestLowerPartnerGroundState:
     @pytest.mark.parametrize("kappa", [0.125, 1.0])
     def test_deformed_candidate_not_normalizable(self, kappa):
-        assert hminus_nonnormalizable_check(kappa) is True
+        assert DeformationProfile(kappa).hminus_nonnormalizable_check() is True
 
     def test_undeformed_ground_state_survives(self):
-        assert hminus_nonnormalizable_check(0.0) is False
+        assert DeformationProfile(0.0).hminus_nonnormalizable_check() is False
 
     def test_pmax_precondition(self):
         with pytest.raises(DomainError):
-            hminus_nonnormalizable_check(1.0, p_max=10.0)
+            DeformationProfile(1.0).hminus_nonnormalizable_check(p_max=10.0)
 
 
 class TestProfileExport:
@@ -202,7 +215,7 @@ class TestProfileExport:
         assert len(rows) == 51
         vals = [float(v) for v in rows[1].split(",")]
         assert vals[0] == pytest.approx(0.01)
-        assert vals[2] == pytest.approx(phi0(0.5, 0.01), rel=1e-12)
+        assert vals[2] == pytest.approx(DeformationProfile(0.5).phi0(0.01), rel=1e-12)
 
     def test_residual_bundle(self):
         prof = DeformationProfile(1.0)

@@ -4,7 +4,8 @@ Every import of a module is used in it, and every private module-level name
 (`_name`: a function, class or assigned constant) is read somewhere in the
 package: in its own module, through `from .module import _name`, or as
 `module._name`.  Tests do not count as readers, so a helper that only a test
-calls fails here too.
+calls fails here too.  A module's `__all__` names only what the module binds,
+and lists every public top-level function and class.
 """
 
 import ast
@@ -82,3 +83,30 @@ def test_every_private_name_is_read(module):
     reads = _package_reads()[module]
     unread = [n for n in _private_definitions(TREES[module]) if n not in reads]
     assert unread == [], f"{module}.py defines but nothing reads {unread}"
+
+
+def _bound(tree: ast.Module) -> set[str]:
+    """The names the module's top-level statements bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m for m, t in TREES.items() if _exported(t)))
+def test_all_lists_exactly_the_public_definitions(module):
+    tree = TREES[module]
+    exported = _exported(tree)
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(exported - _bound(tree)) == [], \
+        f"{module}.__all__ names what {module}.py does not define"
+    assert sorted(public - exported) == [], \
+        f"{module}.py defines public names that {module}.__all__ leaves out"
